@@ -1,8 +1,11 @@
 // Microbenchmarks: the from-scratch crypto substrate.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/dh.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sign.hpp"
@@ -23,6 +26,36 @@ static void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(512)->Arg(8192);
+
+// Each compression kernel run directly on whole blocks, below the dispatch
+// Sha256 does: shani=0 is the portable scalar kernel, shani=1 the SHA-NI
+// one (reported as an error on CPUs without the SHA extensions).
+static void BM_Sha256Kernel(benchmark::State& state) {
+  const bool shani = state.range(0) != 0;
+  const bc::detail::Sha256Kernel kernel =
+      shani ? bc::detail::sha256_shani_kernel() : bc::detail::sha256_compress_scalar;
+  if (kernel == nullptr) {
+    state.SkipWithError("host CPU has no SHA extensions");
+    return;
+  }
+  const auto bytes = static_cast<std::size_t>(state.range(1));
+  bu::Rng rng(8);
+  const bu::Bytes data = rng.bytes(bytes);
+  std::array<std::uint32_t, 8> chaining{};
+  for (auto _ : state) {
+    kernel(chaining, data.data(), bytes / 64);
+    benchmark::DoNotOptimize(chaining);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(1));
+  state.SetLabel(shani ? "sha_ni" : "scalar");
+}
+BENCHMARK(BM_Sha256Kernel)
+    ->ArgNames({"shani", "bytes"})
+    ->Args({0, 64})
+    ->Args({0, 8192})
+    ->Args({1, 64})
+    ->Args({1, 8192});
 
 static void BM_ChaCha20(benchmark::State& state) {
   bu::Rng rng(2);
@@ -69,6 +102,18 @@ static void BM_SchnorrSign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrSign);
+
+// One DH exchange from one side: DhKeyPair::generate plus dh_shared, i.e.
+// two modpow calls over p = 2^127 - 1.
+static void BM_DhModpow(benchmark::State& state) {
+  bu::Rng rng(9);
+  const auto peer = bc::DhKeyPair::generate(rng);
+  for (auto _ : state) {
+    const auto mine = bc::DhKeyPair::generate(rng);
+    benchmark::DoNotOptimize(bc::dh_shared(mine, peer.public_value));
+  }
+}
+BENCHMARK(BM_DhModpow);
 
 static void BM_SchnorrVerify(benchmark::State& state) {
   bu::Rng rng(6);

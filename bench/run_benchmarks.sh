@@ -165,15 +165,17 @@ python3 - "${raw_json}" "${out_json}" "${obs_out_json}" \
   "${raw4_json}" "${consensus_summary}" "${consensus_exit}" \
   "${scenarios_json}" "${critpath_json}" "${critpath_diff_json}" \
   "${critpath_diff_exit}" "${raw_store_json}" "${store_baseline_copy}" \
-  "${store_out_json}" <<'PY'
+  "${store_out_json}" "${build_dir}" <<'PY'
 import json
+import re
 import sys
 
 (raw_path, out_path, obs_out_path, baseline_path, obs_baseline_path,
  trajectory_path, git_rev, baseline_skip, scaling_path,
  raw4_path, consensus_summary_path, consensus_exit, scenarios_path,
  critpath_path, critpath_diff_path, critpath_diff_exit,
- raw_store_path, store_baseline_path, store_out_path) = sys.argv[1:20]
+ raw_store_path, store_baseline_path, store_out_path,
+ build_dir) = sys.argv[1:21]
 with open(raw_path) as f:
     raw = json.load(f)
 with open(scaling_path) as f:
@@ -193,6 +195,25 @@ def mb_s(name):
 
 def counter(name, key):
     return by_name[name][key]
+
+def cmake_build_type(build_dir):
+    # Our own CMAKE_BUILD_TYPE, not google-benchmark's library_build_type.
+    try:
+        with open(f"{build_dir}/CMakeCache.txt") as f:
+            m = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", f.read(), re.M)
+    except OSError:
+        return "unknown"
+    return m.group(1) if m and m.group(1) else "unknown"
+
+def cpu_features():
+    # The SHA-256 and ChaCha20 kernels are picked per host at startup.
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next((line.split(":", 1)[1].split() for line in f
+                          if line.startswith("flags")), [])
+    except OSError:
+        flags = []
+    return {name: name in flags for name in ("avx2", "sha_ni")}
 
 seed_509 = mb_s("BM_ChaCha20Seed/509")
 seed_8192 = mb_s("BM_ChaCha20Seed/8192")
@@ -220,7 +241,9 @@ distilled = {
     "context": {
         "host_cpus": raw["context"]["num_cpus"],
         "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-        "build_type": raw["context"].get("library_build_type", "unknown"),
+        "build_type": cmake_build_type(build_dir),
+        "library_build_type": raw["context"].get("library_build_type", "unknown"),
+        "cpu_features": cpu_features(),
     },
     "chacha20": {
         "seed_scalar_mb_s_509": seed_509,

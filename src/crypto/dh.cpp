@@ -4,9 +4,39 @@
 
 namespace bento::crypto {
 
-Gp group_prime() { return (static_cast<Gp>(1) << 127) - 1; }
+namespace {
+
+constexpr Gp kP = (static_cast<Gp>(1) << 127) - 1;
+
+// x mod p for any 128-bit x: 2^127 = 1 (mod p), so fold the top bit onto
+// the low 127 bits; the sum is at most p + 1, so one subtraction finishes.
+Gp fold_p(Gp x) {
+  x = (x & kP) + (x >> 127);
+  return x >= kP ? x - kP : x;
+}
+
+// a * b mod p for a, b < p. The 254-bit product is built from four
+// 64x64->128 multiplies as hi:lo, then folded: hi:lo = H * 2^127 + L with
+// H, L < 2^127, so the product is H + L (mod p) and H + L fits in 128 bits.
+Gp mulmod_p(Gp a, Gp b) {
+  const auto a0 = static_cast<std::uint64_t>(a), a1 = static_cast<std::uint64_t>(a >> 64);
+  const auto b0 = static_cast<std::uint64_t>(b), b1 = static_cast<std::uint64_t>(b >> 64);
+  // a1, b1 < 2^63, so the two cross terms sum to less than 2^128.
+  const Gp mid = static_cast<Gp>(a0) * b1 + static_cast<Gp>(a1) * b0;
+  const Gp lo = static_cast<Gp>(a0) * b0 + (mid << 64);
+  const Gp carry = lo < (mid << 64) ? 1 : 0;
+  const Gp hi = static_cast<Gp>(a1) * b1 + (mid >> 64) + carry;
+  return fold_p(((hi << 1) | (lo >> 127)) + (lo & kP));
+}
+
+}  // namespace
+
+Gp group_prime() { return kP; }
 
 Gp modmul(Gp a, Gp b, Gp mod) {
+  if (mod == kP) return mulmod_p(fold_p(a), fold_p(b));
+  // Any other modulus (the Schnorr order p - 1): double-and-add, which
+  // never overflows 128 bits for mod < 2^127.
   a %= mod;
   b %= mod;
   Gp result = 0;

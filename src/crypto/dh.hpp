@@ -24,7 +24,9 @@ inline constexpr int kGpBytes = 16;
 /// p = 2^127 - 1.
 Gp group_prime();
 
-/// Modular multiplication (double-and-add; safe against 128-bit overflow).
+/// Modular multiplication. For mod == group_prime() the 254-bit product is
+/// reduced with the Mersenne fold (2^127 = 1 mod p); any other modulus uses
+/// double-and-add, safe against 128-bit overflow. Not constant-time.
 Gp modmul(Gp a, Gp b, Gp mod);
 
 /// Modular exponentiation by squaring.

@@ -2,10 +2,13 @@
 //
 // Used for relay fingerprints, cell digests, enclave measurements, and as
 // the hash under HMAC/HKDF. Verified against NIST test vectors in
-// tests/crypto_sha256_test.cpp.
+// tests/crypto_test.cpp. The compression function is picked once per
+// process: the SHA-NI kernel on x86 CPUs with the SHA extensions, the
+// portable scalar kernel everywhere else (DESIGN.md §7).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/bytes.hpp"
@@ -13,6 +16,18 @@
 namespace bento::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
+
+namespace detail {
+/// A compression kernel: folds `nblocks` consecutive 64-byte blocks into the
+/// chaining state. Declared here so tests and benchmarks can run each kernel
+/// directly; Sha256 always uses the one picked once per process.
+using Sha256Kernel = void (*)(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+                              std::size_t nblocks);
+void sha256_compress_scalar(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+                            std::size_t nblocks);
+/// The SHA-NI kernel, or nullptr when the host CPU lacks the SHA extensions.
+Sha256Kernel sha256_shani_kernel();
+}  // namespace detail
 
 /// Incremental SHA-256.
 class Sha256 {
@@ -29,7 +44,6 @@ class Sha256 {
   Digest peek_digest() const;
 
  private:
-  static void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block);
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

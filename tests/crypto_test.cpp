@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/dh.hpp"
@@ -546,4 +550,186 @@ TEST(Poly1305, EmptyAndBlockBoundaryMessages) {
     tags.insert(bu::to_hex(bu::ByteView(tag.data(), tag.size())));
   }
   EXPECT_EQ(tags.size(), 9u);  // all distinct
+}
+
+// ---- SHA-256 kernels, run directly (below the Sha256 dispatch) ----
+
+namespace {
+constexpr std::array<std::uint32_t, 8> kSha256Iv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                                    0x1f83d9ab, 0x5be0cd19};
+
+// FIPS 180-4 padding around one kernel, bypassing Sha256 entirely.
+bc::Digest kernel_digest(bc::detail::Sha256Kernel kernel, bu::ByteView msg) {
+  bu::Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::array<std::uint32_t, 8> state = kSha256Iv;
+  kernel(state, padded.data(), padded.size() / 64);
+  bc::Digest out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      out[4 * i + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+void expect_fips180_vectors(bc::detail::Sha256Kernel kernel) {
+  EXPECT_EQ(hex_digest(kernel_digest(kernel, {})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex_digest(kernel_digest(kernel, bu::to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex_digest(kernel_digest(
+                kernel, bu::to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex_digest(kernel_digest(kernel, bu::Bytes(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Random lengths 0..4 KiB, fed to Sha256 in 1-4 pieces split at random
+// points; the streaming digest, its peek_digest, the one-shot sha256 and
+// `kernel` run directly must all agree.
+void expect_kernel_matches_streaming(bc::detail::Sha256Kernel kernel, std::uint64_t seed) {
+  bu::Rng rng(seed);
+  for (int iter = 0; iter < 400; ++iter) {
+    const bu::Bytes data = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 4096)));
+    std::vector<std::size_t> cuts = {0, data.size()};
+    for (std::uint64_t k = rng.uniform(0, 3); k > 0; --k) {
+      cuts.push_back(static_cast<std::size_t>(rng.uniform(0, data.size())));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    bc::Sha256 h;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      h.update(bu::ByteView(data.data() + cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    const bc::Digest peeked = h.peek_digest();
+    const bc::Digest streamed = h.finish();
+    const bc::Digest direct = kernel_digest(kernel, data);
+    EXPECT_EQ(peeked, streamed) << "len " << data.size();
+    EXPECT_EQ(streamed, bc::sha256(data)) << "len " << data.size();
+    EXPECT_EQ(direct, streamed) << "len " << data.size();
+  }
+}
+}  // namespace
+
+TEST(Sha256Kernel, ScalarFips180Vectors) {
+  expect_fips180_vectors(bc::detail::sha256_compress_scalar);
+}
+
+TEST(Sha256Kernel, ShaNiFips180Vectors) {
+  const bc::detail::Sha256Kernel shani = bc::detail::sha256_shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "host CPU has no SHA extensions; SHA-NI kernel not run";
+  expect_fips180_vectors(shani);
+}
+
+TEST(Sha256Kernel, ScalarMatchesStreamingOverRandomSplits) {
+  expect_kernel_matches_streaming(bc::detail::sha256_compress_scalar, 1301);
+}
+
+TEST(Sha256Kernel, ShaNiMatchesScalarAndStreaming) {
+  const bc::detail::Sha256Kernel shani = bc::detail::sha256_shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "host CPU has no SHA extensions; SHA-NI kernel not run";
+  expect_kernel_matches_streaming(shani, 1302);
+  // Multi-block calls from arbitrary chaining states, not only the IV.
+  bu::Rng rng(1303);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::array<std::uint32_t, 8> scalar_state{};
+    for (auto& w : scalar_state) w = static_cast<std::uint32_t>(rng.next_u64());
+    std::array<std::uint32_t, 8> shani_state = scalar_state;
+    const std::size_t nblocks = static_cast<std::size_t>(rng.uniform(1, 64));
+    const bu::Bytes blocks = rng.bytes(64 * nblocks);
+    bc::detail::sha256_compress_scalar(scalar_state, blocks.data(), nblocks);
+    shani(shani_state, blocks.data(), nblocks);
+    EXPECT_EQ(shani_state, scalar_state) << "nblocks " << nblocks;
+  }
+}
+
+// ---- DH: the Mersenne-fold modmul against double-and-add ----
+
+namespace {
+// The pre-fold modmul, kept here as the reference for mod = p.
+bc::Gp ref_modmul(bc::Gp a, bc::Gp b, bc::Gp mod) {
+  a %= mod;
+  b %= mod;
+  bc::Gp result = 0;
+  while (b > 0) {
+    if (b & 1) {
+      result += a;
+      if (result >= mod) result -= mod;
+    }
+    a <<= 1;
+    if (a >= mod) a -= mod;
+    b >>= 1;
+  }
+  return result;
+}
+
+bc::Gp random_gp(bu::Rng& rng) {
+  return static_cast<bc::Gp>(rng.next_u64()) << 64 | rng.next_u64();
+}
+}  // namespace
+
+TEST(Dh, ModmulFoldMatchesDoubleAndAddOnEdgeValues) {
+  const bc::Gp p = bc::group_prime();
+  const bc::Gp one = 1;
+  const std::vector<bc::Gp> edges = {
+      0, 1, 2, one << 63, (one << 64) - 1, one << 64, one << 126, p - 2, p - 1,
+      // Inputs at or above p: modmul reduces its arguments first.
+      p, p + 1, ~static_cast<bc::Gp>(0)};
+  for (bc::Gp a : edges) {
+    for (bc::Gp b : edges) {
+      const bc::Gp got = bc::modmul(a, b, p);
+      EXPECT_TRUE(got == ref_modmul(a, b, p))
+          << bu::to_hex(bc::gp_to_bytes(a)) << " * " << bu::to_hex(bc::gp_to_bytes(b));
+      EXPECT_LT(got, p);
+    }
+  }
+}
+
+TEST(Dh, ModmulFoldMatchesDoubleAndAddOnRandomPairs) {
+  const bc::Gp p = bc::group_prime();
+  bu::Rng rng(1401);
+  int mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Alternate full 128-bit inputs with already-reduced ones.
+    bc::Gp a = random_gp(rng);
+    bc::Gp b = random_gp(rng);
+    if (i & 1) {
+      a %= p;
+      b %= p;
+    }
+    if (bc::modmul(a, b, p) != ref_modmul(a, b, p)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Dh, GoldenKeysAndSharedSecrets) {
+  // Computed with the double-and-add modmul: the ntor, conclave and IAS
+  // bytes built on these values must not change with the kernel.
+  struct Golden {
+    std::uint64_t seed;
+    const char* a_public;
+    const char* b_public;
+    const char* shared;
+  };
+  const Golden goldens[] = {
+      {1, "46a4542941b88f83eed9e4b99dc9b331", "3fb05595035ae8d0d4dc89f1a61cae4a",
+       "519d742fd3f5f695c8d16535ed05cf4c"},
+      {7, "001e0a63a7c83b469ff340bd0d60b210", "261caff050b373ede9010c7580838d68",
+       "2fd8070241b85249835dccb388889ccb"},
+      {42, "0aa888262e9e83b223c1cf3dfca4bf01", "2738fe7ade1190d446861076a18ce3f2",
+       "0c41e89c9d3a9cdb2d624cbad50010f5"},
+  };
+  for (const Golden& g : goldens) {
+    bu::Rng rng(g.seed);
+    const auto a = bc::DhKeyPair::generate(rng);
+    const auto b = bc::DhKeyPair::generate(rng);
+    EXPECT_EQ(bu::to_hex(bc::gp_to_bytes(a.public_value)), g.a_public) << g.seed;
+    EXPECT_EQ(bu::to_hex(bc::gp_to_bytes(b.public_value)), g.b_public) << g.seed;
+    EXPECT_EQ(bu::to_hex(bc::dh_shared(a, b.public_value)), g.shared) << g.seed;
+    EXPECT_EQ(bc::dh_shared(b, a.public_value), bc::dh_shared(a, b.public_value)) << g.seed;
+  }
 }
