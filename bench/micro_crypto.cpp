@@ -71,6 +71,32 @@ static void BM_ChaCha20(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaCha20)->Arg(509)->Arg(8192);
 
+// Each keystream kernel run directly, one 512-byte call per iteration:
+// kernel=0 portable, 1 AVX2, 2 AVX-512 (reported as an error on CPUs
+// without the extension).
+static void BM_ChaCha20Kernel(benchmark::State& state) {
+  static constexpr const char* kNames[] = {"portable", "avx2", "avx512"};
+  const auto which = static_cast<std::size_t>(state.range(0));
+  const bc::detail::ChaChaKernel kernel =
+      which == 0   ? bc::detail::chacha20_kernel_portable
+      : which == 1 ? bc::detail::chacha20_avx2_kernel()
+                   : bc::detail::chacha20_avx512_kernel();
+  if (kernel == nullptr) {
+    state.SkipWithError("host CPU lacks this kernel's extension");
+    return;
+  }
+  std::array<std::uint32_t, 16> chacha_state{};
+  alignas(64) std::array<std::uint8_t, 512> block{};
+  for (auto _ : state) {
+    kernel(chacha_state.data(), nullptr, block.data());
+    chacha_state[12] += 8;
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512);
+  state.SetLabel(kNames[which]);
+}
+BENCHMARK(BM_ChaCha20Kernel)->ArgName("kernel")->Arg(0)->Arg(1)->Arg(2);
+
 static void BM_AeadSeal(benchmark::State& state) {
   bu::Rng rng(3);
   auto key = bc::AeadKey::from_bytes(rng.bytes(bc::kAeadKeyLen));

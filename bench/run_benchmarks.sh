@@ -206,14 +206,14 @@ def cmake_build_type(build_dir):
     return m.group(1) if m and m.group(1) else "unknown"
 
 def cpu_features():
-    # The SHA-256 and ChaCha20 kernels are picked per host at startup.
+    # The SHA-256, ChaCha20 and CRC-32C kernels are picked per host at startup.
     try:
         with open("/proc/cpuinfo") as f:
             flags = next((line.split(":", 1)[1].split() for line in f
                           if line.startswith("flags")), [])
     except OSError:
         flags = []
-    return {name: name in flags for name in ("avx2", "sha_ni")}
+    return {name: name in flags for name in ("avx2", "avx512f", "avx512vl", "sha_ni", "sse4_2")}
 
 seed_509 = mb_s("BM_ChaCha20Seed/509")
 seed_8192 = mb_s("BM_ChaCha20Seed/8192")

@@ -2,14 +2,24 @@
 
 namespace bento::core {
 
-util::Bytes Message::serialize() const {
-  util::Writer w;
+std::size_t Message::serialized_size() const {
+  // type, container id, then four u32-length-prefixed fields.
+  return 1 + 8 + 4 * 4 + text.size() + blob.size() + blob2.size() + token.size();
+}
+
+void Message::write_to(util::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(container_id);
   w.str(text);
   w.blob(blob);
   w.blob(blob2);
   w.blob(token);
+}
+
+util::Bytes Message::serialize() const {
+  util::Writer w;
+  w.reserve(serialized_size());
+  write_to(w);
   return std::move(w).take();
 }
 
@@ -27,8 +37,12 @@ Message Message::deserialize(util::ByteView data) {
 }
 
 util::Bytes StreamFramer::frame(const Message& msg) {
+  // Length prefix and body in one buffer, allocated once at its exact size.
+  const std::size_t len = msg.serialized_size();
   util::Writer w;
-  w.blob(msg.serialize());
+  w.reserve(4 + len);
+  w.u32(static_cast<std::uint32_t>(len));
+  msg.write_to(w);
   return std::move(w).take();
 }
 

@@ -45,6 +45,10 @@ struct Message {
 
   util::Bytes serialize() const;
   static Message deserialize(util::ByteView data);
+  /// Exact length of serialize()'s output.
+  std::size_t serialized_size() const;
+  /// Writes the serialize() bytes into `w`.
+  void write_to(util::Writer& w) const;
 };
 
 /// Length-prefixed framing over a byte stream.

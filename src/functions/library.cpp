@@ -34,10 +34,7 @@ def fetched(body):
     final = compressed
     padding = state["padding"]
     if padding > 0:
-        if padding - len(final) > 0:
-            final = final + os.urandom(padding - len(final))
-        else:
-            final = final + os.urandom((len(final) + padding) % padding)
+        final = final + os.urandom((padding - len(final) % padding) % padding)
     deliver(final)
 
 def on_message(msg):

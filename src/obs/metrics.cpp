@@ -11,6 +11,17 @@ Registry& registry() {
   return instance;
 }
 
+void detail::HistogramData::index_bounds() {
+  for (std::size_t w = 0; w < first_bucket.size(); ++w) {
+    std::size_t passed = 0;
+    if (w > 0) {
+      const std::int64_t lo = std::int64_t{1} << (w - 1);
+      while (passed < bounds.size() && passed < 255 && bounds[passed] <= lo) ++passed;
+    }
+    first_bucket[w] = static_cast<std::uint8_t>(passed);
+  }
+}
+
 void detail::HistogramData::merge_into(HistogramCell& out) const {
   const std::size_t nb = bounds.size() + 1;
   out.name = name;
@@ -66,6 +77,7 @@ Histogram Registry::histogram(std::string_view name,
     auto cell = std::make_unique<detail::HistogramData>();
     cell->name = std::string(name);
     cell->bounds.assign(bounds.begin(), bounds.end());
+    cell->index_bounds();
     cell->buckets.assign((bounds.size() + 1) * kMaxMetricWorkers, 0);
     it = histograms_.emplace(std::string(name), std::move(cell)).first;
   }

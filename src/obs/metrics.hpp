@@ -24,6 +24,8 @@
 // cache them in function-local statics.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -145,6 +147,13 @@ struct alignas(64) HistogramSlot {
 struct HistogramData {
   std::string name;
   std::vector<std::int64_t> bounds;
+  // first_bucket[w]: how many bounds are <= 2^(w-1), i.e. are passed by
+  // every positive value of bit width w (w = 0 stands for v <= 0), capped
+  // at 255 (a lower start is still correct). record() starts its bound scan
+  // there, so on a ladder whose bounds at least double it compares at most
+  // a couple of bounds instead of walking the ladder.
+  std::array<std::uint8_t, 64> first_bucket{};
+  void index_bounds();
   // Slot-major: worker w's buckets are [w * (bounds.size() + 1), ...) — one
   // contiguous private stripe per worker, no shared cache lines inside.
   std::vector<std::uint64_t> buckets;
@@ -213,7 +222,8 @@ class Histogram {
   Histogram() = default;
   BENTO_HOT void record(std::int64_t v) {
     if (!detail::g_metrics_enabled || cell_ == nullptr) return;
-    std::size_t i = 0;
+    const std::uint64_t mag = v > 0 ? static_cast<std::uint64_t>(v) : 0;
+    std::size_t i = cell_->first_bucket[std::bit_width(mag)];
     const std::size_t n = cell_->bounds.size();
     while (i < n && v >= cell_->bounds[i]) ++i;
     const unsigned w = detail::g_metric_worker;

@@ -1,6 +1,8 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/annotations.hpp"
 
@@ -9,6 +11,11 @@ namespace bento::sim {
 namespace {
 std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
+}
+
+std::size_t tri_index(NodeId a, NodeId b) {
+  if (a < b) std::swap(a, b);
+  return static_cast<std::size_t>(a) * (static_cast<std::size_t>(a) + 1) / 2 + b;
 }
 }  // namespace
 
@@ -68,6 +75,8 @@ NodeId Network::add_node(const NodeSpec& spec, MessageHandler* handler) {
     }
   };
   nodes_.push_back(std::move(stp));
+  // The new node's row: no explicit latency names it yet.
+  lat_table_.resize(tri_index(id, id) + 1, default_latency_);
   if (sim_.regions() > 1) recompute_lookahead();  // new region-0 node may add cross pairs
   return id;
 }
@@ -81,6 +90,7 @@ void Network::set_latency(NodeId a, NodeId b, Duration latency) {
   check_node(a);
   check_node(b);
   latency_[ordered(a, b)] = latency;
+  lat_table_[tri_index(a, b)] = latency;
   if (nodes_[a]->region != nodes_[b]->region) recompute_lookahead();
 }
 
@@ -129,9 +139,16 @@ void Network::recompute_lookahead() {
   sim_.set_lookahead(best);
 }
 
-Duration Network::latency(NodeId a, NodeId b) const {
-  auto it = latency_.find(ordered(a, b));
-  return it == latency_.end() ? default_latency_ : it->second;
+void Network::set_default_latency(Duration d) {
+  default_latency_ = d;
+  std::fill(lat_table_.begin(), lat_table_.end(), d);
+  for (const auto& [pair, lat] : latency_) lat_table_[tri_index(pair.first, pair.second)] = lat;
+  recompute_lookahead();
+}
+
+BENTO_HOT Duration Network::latency(NodeId a, NodeId b) const {
+  const std::size_t i = tri_index(a, b);
+  return i < lat_table_.size() ? lat_table_[i] : default_latency_;
 }
 
 BENTO_HOT void Network::send(NodeId from, NodeId to, util::Bytes payload) {
@@ -249,6 +266,9 @@ BENTO_HOT void Network::enqueue(LinkQueue& lq, NodeId peer_key, Packet pkt) {
 }
 
 BENTO_HOT void Network::serve(LinkQueue& lq) {
+  // Idle link: the scan below would find nothing and leave rr_next where it
+  // started, so returning now keeps the round-robin order.
+  if (lq.queued == 0) return;
   // Round-robin across peers with pending packets.
   for (std::size_t scanned = 0; scanned < lq.rr_order.size(); ++scanned) {
     if (lq.rr_next >= lq.rr_order.size()) lq.rr_next = 0;

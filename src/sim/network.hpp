@@ -106,10 +106,7 @@ class Network {
   void set_latency(NodeId a, NodeId b, Duration latency);
   Duration latency(NodeId a, NodeId b) const;
   /// Latency not explicitly set defaults to this value.
-  void set_default_latency(Duration d) {
-    default_latency_ = d;
-    recompute_lookahead();
-  }
+  void set_default_latency(Duration d);
 
   /// Assigns a node to a simulator region (DESIGN.md §12). The region must
   /// already exist (Simulator::add_region); nodes default to region 0.
@@ -207,8 +204,15 @@ class Network {
   // unique_ptr keeps NodeState addresses stable while nodes are added
   // mid-simulation (e.g. LoadBalancer spinning up replicas).
   std::vector<std::unique_ptr<NodeState>> nodes_;
+  // Explicit pairwise latencies: the source of truth for the lookahead
+  // bound and for rebuilding lat_table_ when the default changes.
   std::map<std::pair<NodeId, NodeId>, Duration> latency_;
   Duration default_latency_ = Duration::millis(40);
+  // Every pair's latency, dense: the lower triangle (diagonal included),
+  // pair (a, b) with a >= b at a * (a + 1) / 2 + b. Kept in step by
+  // add_node, set_latency and set_default_latency, so the per-packet
+  // lookup is one load; read-only during runs.
+  std::vector<Duration> lat_table_;
   std::vector<std::size_t> region_count_;  // nodes per region, for lookahead
   WireMonitor monitor_;
   FaultInjector* chaos_ = nullptr;

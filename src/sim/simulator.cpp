@@ -20,11 +20,18 @@ std::int64_t sim_clock_thunk(const void* ctx) {
 }
 
 // std::push_heap/pop_heap are max-heaps; invert `before` to pop the minimum.
-struct EventAfter {
-  template <typename E>
-  bool operator()(const E& a, const E& b) const {
+struct KeyAfter {
+  bool operator()(const EventQueue::Key& a, const EventQueue::Key& b) const {
     return b.before(a);
   }
+};
+
+// Returns a popped event's slot to its queue when dispatch ends, including
+// by exception.
+struct SlotLease {
+  EventQueue& queue;
+  std::uint32_t slot;
+  ~SlotLease() { queue.release(slot); }
 };
 
 // Deterministic seed split for region Rng streams (splitmix64 finalizer):
@@ -63,6 +70,43 @@ unsigned shards_from_env() {
 }
 
 }  // namespace
+
+BENTO_HOT void EventQueue::push(Time when, std::uint64_t seq, std::uint32_t origin,
+                                Time queued_at, obs::SpanContext ctx, EventFn fn) {
+  if (free_.empty()) grow();
+  const std::uint32_t slot = free_.back();
+  // bentolint: allow(BL102 key vector growth, amortized; bodies sit in recycled slots)
+  keys_.push_back(Key{when, seq, origin, slot});
+  free_.pop_back();
+  Body& b = body(slot);
+  b.queued_at = queued_at;
+  b.ctx = ctx;
+  b.fn = std::move(fn);
+  std::push_heap(keys_.begin(), keys_.end(), KeyAfter{});
+}
+
+BENTO_HOT EventQueue::Key EventQueue::pop() {
+  std::pop_heap(keys_.begin(), keys_.end(), KeyAfter{});
+  const Key k = keys_.back();
+  keys_.pop_back();
+  return k;
+}
+
+BENTO_HOT void EventQueue::release(std::uint32_t slot) {
+  body(slot).fn = EventFn{};
+  // bentolint: allow(BL102 capacity reserved in grow() for every slot; never reallocates)
+  free_.push_back(slot);
+}
+
+void EventQueue::grow() {
+  const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunk);
+  chunks_.push_back(std::make_unique<Body[]>(kChunk));
+  // Room for every slot, grown geometrically: release() never reallocates.
+  const std::size_t slots = chunks_.size() * kChunk;
+  if (free_.capacity() < slots) free_.reserve(std::max(slots, 2 * free_.capacity()));
+  // Lowest slot on top, so a queue reuses the front of its first chunk.
+  for (std::uint32_t i = kChunk; i > 0; --i) free_.push_back(base + i - 1);
+}
 
 Simulator::Simulator(std::uint64_t seed, unsigned shards)
     : now_(Time::from_micros(0)),
@@ -104,9 +148,7 @@ std::uint32_t Simulator::add_region() {
 BENTO_HOT void Simulator::schedule_in(Region& r, Time t, EventFn fn) {
   const Time tn = now();
   if (t < tn) t = tn;
-  // bentolint: allow(BL102 heap vector growth, amortized; events themselves are pooled)
-  r.heap.push_back(Event{t, tn, r.next_seq++, r.id, obs::current_span(), std::move(fn)});
-  std::push_heap(r.heap.begin(), r.heap.end(), EventAfter{});
+  r.queue.push(t, r.next_seq++, r.id, tn, obs::current_span(), std::move(fn));
 }
 
 void Simulator::post_boxed(Region& origin, std::uint32_t target, Time t, EventFn fn) {
@@ -115,7 +157,7 @@ void Simulator::post_boxed(Region& origin, std::uint32_t target, Time t, EventFn
   }
   const Time tn = now();
   if (t < tn) t = tn;
-  Event ev{t, tn, origin.next_seq++, origin.id, obs::current_span(), std::move(fn)};
+  const std::uint64_t seq = origin.next_seq++;
   const detail::ExecCtx& x = detail::g_exec;
   if (x.sim == this && x.in_window) {
     // Conservative-lookahead contract: inside a window, a cross-region event
@@ -127,13 +169,11 @@ void Simulator::post_boxed(Region& origin, std::uint32_t target, Time t, EventFn
           "Simulator::post: cross-region event inside the lookahead window");
     }
     // bentolint: allow(BL102 mailbox growth is amortized; capacity is kept across windows)
-    mail_[origin.id * mail_regions_ + target].push_back(std::move(ev));
+    mail_[origin.id * mail_regions_ + target].push_back(
+        Posted{t, seq, origin.id, tn, obs::current_span(), std::move(fn)});
     return;
   }
-  std::vector<Event>& heap = regions_[target]->heap;
-  // bentolint: allow(BL102 heap vector growth, amortized; events themselves are pooled)
-  heap.push_back(std::move(ev));
-  std::push_heap(heap.begin(), heap.end(), EventAfter{});
+  regions_[target]->queue.push(t, seq, origin.id, tn, obs::current_span(), std::move(fn));
 }
 
 void Simulator::schedule_exclusive(Time t, EventFn fn) {
@@ -146,32 +186,42 @@ void Simulator::schedule_exclusive(Time t, EventFn fn) {
   }
   const Time tn = now();
   if (t < tn) t = tn;
-  excl_heap_.push_back(
-      Event{t, tn, excl_next_seq_++, kNoRegion, obs::current_span(), std::move(fn)});
-  std::push_heap(excl_heap_.begin(), excl_heap_.end(), EventAfter{});
+  excl_.push(t, excl_next_seq_++, kNoRegion, tn, obs::current_span(), std::move(fn));
+}
+
+const EventQueue::Key* Simulator::region_min() const {
+  const EventQueue::Key* mn = nullptr;
+  for (const auto& rp : regions_) {
+    if (!rp->queue.empty() && (mn == nullptr || rp->queue.top().before(*mn))) {
+      mn = &rp->queue.top();
+    }
+  }
+  return mn;
 }
 
 BENTO_HOT void Simulator::exec_region_event(Region& r) {
-  std::pop_heap(r.heap.begin(), r.heap.end(), EventAfter{});
-  Event ev = std::move(r.heap.back());
-  r.heap.pop_back();
-  r.now = ev.when;
+  const EventQueue::Key k = r.queue.pop();
+  // The body is dispatched where it sits; the lease, declared before the
+  // guard, destroys the callable after the dispatch context is restored.
+  const SlotLease lease{r.queue, k.slot};
+  EventQueue::Body& ev = r.queue.body(k.slot);
+  r.now = k.when;
   detail::ExecCtx& x = detail::g_exec;
   DispatchGuard guard(x);
   x.sim = this;
   x.region = &r;
   obs::set_trace_region(r.id);
-  obs::set_trace_order(ev.when.micros(), ev.origin, ev.seq);
+  obs::set_trace_order(k.when.micros(), k.origin, k.seq);
   ++r.executed;
   m_events_.inc();
-  m_dispatch_lag_us_.record((ev.when - ev.queued_at).count_micros());
-  m_pending_.set(static_cast<std::int64_t>(r.heap.size()));
-  obs::trace(obs::Ev::SimDispatch, 0, r.heap.size());
+  m_dispatch_lag_us_.record((k.when - ev.queued_at).count_micros());
+  m_pending_.set(static_cast<std::int64_t>(r.queue.size()));
+  obs::trace(obs::Ev::SimDispatch, 0, r.queue.size());
   // The predicate gate keeps the formatting cost out of the dispatch loop:
   // a Trace-level sink sees every event, everyone else pays one branch.
   if (util::log_enabled(util::LogLevel::Trace)) {
     util::log(util::LogLevel::Trace, "sim", "dispatch #", r.executed, " at t=",
-              r.now.micros(), "us, ", r.heap.size(), " pending");
+              r.now.micros(), "us, ", r.queue.size(), " pending");
   }
   // Dispatch under the span context captured at schedule() so downstream
   // instrumentation (and any events this handler schedules) inherit the
@@ -182,20 +232,20 @@ BENTO_HOT void Simulator::exec_region_event(Region& r) {
 }
 
 void Simulator::exec_exclusive_event() {
-  std::pop_heap(excl_heap_.begin(), excl_heap_.end(), EventAfter{});
-  Event ev = std::move(excl_heap_.back());
-  excl_heap_.pop_back();
-  if (now_ < ev.when) now_ = ev.when;
+  const EventQueue::Key k = excl_.pop();
+  const SlotLease lease{excl_, k.slot};
+  EventQueue::Body& ev = excl_.body(k.slot);
+  if (now_ < k.when) now_ = k.when;
   ++excl_executed_;
   m_events_.inc();
-  m_dispatch_lag_us_.record((ev.when - ev.queued_at).count_micros());
-  m_pending_.set(static_cast<std::int64_t>(excl_heap_.size()));
+  m_dispatch_lag_us_.record((k.when - ev.queued_at).count_micros());
+  m_pending_.set(static_cast<std::int64_t>(excl_.size()));
   obs::set_trace_region(0);
-  obs::set_trace_order(ev.when.micros(), kNoRegion, ev.seq);
-  obs::trace(obs::Ev::SimDispatch, 0, excl_heap_.size());
+  obs::set_trace_order(k.when.micros(), kNoRegion, k.seq);
+  obs::trace(obs::Ev::SimDispatch, 0, excl_.size());
   if (util::log_enabled(util::LogLevel::Trace)) {
     util::log(util::LogLevel::Trace, "sim", "exclusive #", excl_executed_, " at t=",
-              now_.micros(), "us, ", excl_heap_.size(), " pending");
+              now_.micros(), "us, ", excl_.size(), " pending");
   }
   DispatchGuard guard(detail::g_exec);
   obs::set_current_span(ev.ctx);
@@ -205,11 +255,10 @@ void Simulator::exec_exclusive_event() {
 BENTO_HOT bool Simulator::step() {
   Region* best = nullptr;
   for (auto& rp : regions_) {
-    if (rp->heap.empty()) continue;
-    if (best == nullptr || rp->heap.front().before(best->heap.front())) best = rp.get();
+    if (rp->queue.empty()) continue;
+    if (best == nullptr || rp->queue.top().before(best->queue.top())) best = rp.get();
   }
-  if (!excl_heap_.empty() &&
-      (best == nullptr || excl_heap_.front().before(best->heap.front()))) {
+  if (!excl_.empty() && (best == nullptr || excl_.top().before(best->queue.top()))) {
     exec_exclusive_event();
     return true;
   }
@@ -245,15 +294,8 @@ void Simulator::run_until(Time deadline) {
 void Simulator::run_serial(std::uint64_t limit, Time deadline, bool bounded) {
   for (std::uint64_t i = 0; i < limit; ++i) {
     if (bounded) {
-      const Event* mn = nullptr;
-      for (const auto& rp : regions_) {
-        if (!rp->heap.empty() && (mn == nullptr || rp->heap.front().before(*mn))) {
-          mn = &rp->heap.front();
-        }
-      }
-      if (!excl_heap_.empty() && (mn == nullptr || excl_heap_.front().before(*mn))) {
-        mn = &excl_heap_.front();
-      }
+      const EventQueue::Key* mn = region_min();
+      if (!excl_.empty() && (mn == nullptr || excl_.top().before(*mn))) mn = &excl_.top();
       if (mn == nullptr || deadline < mn->when) break;
     }
     if (!step()) break;
@@ -284,23 +326,18 @@ void Simulator::run_windowed(Time deadline, bool bounded) {
         if (multi && ds.drained > 0) prof.on_mailbox_drain(ds.drained, ds.max_depth);
       }
     }
-    const Event* rmin = nullptr;
-    for (const auto& rp : regions_) {
-      if (!rp->heap.empty() && (rmin == nullptr || rp->heap.front().before(*rmin))) {
-        rmin = &rp->heap.front();
-      }
-    }
-    const bool have_excl = !excl_heap_.empty();
+    const EventQueue::Key* rmin = region_min();
+    const bool have_excl = !excl_.empty();
     if (rmin == nullptr && !have_excl) break;
-    Time tmin = rmin != nullptr ? rmin->when : excl_heap_.front().when;
-    if (have_excl && excl_heap_.front().when < tmin) tmin = excl_heap_.front().when;
+    Time tmin = rmin != nullptr ? rmin->when : excl_.top().when;
+    if (have_excl && excl_.top().when < tmin) tmin = excl_.top().when;
     if (bounded && deadline < tmin) break;
     // Advance the barrier-context clock to the window floor so anything
     // recorded between windows (the shard.window/shard.barrier events
     // below) stamps T_min instead of a stale start-of-run time. Handlers
     // never see this clock — they read their region's.
     if (now_ < tmin) now_ = tmin;
-    if (rmin == nullptr || (have_excl && excl_heap_.front().before(*rmin))) {
+    if (rmin == nullptr || (have_excl && excl_.top().before(*rmin))) {
       const std::uint64_t t0 = prof_live ? obs::prof_now_ns() : 0;
       exec_exclusive_event();
       if (prof_live) {
@@ -314,7 +351,7 @@ void Simulator::run_windowed(Time deadline, bool bounded) {
     // windows. Strict-< execution makes the +1µs caps inclusive bounds.
     Time h = multi ? rmin->when + lookahead_ : inf;
     if (have_excl) {
-      const Time cap = excl_heap_.front().when + tick;
+      const Time cap = excl_.top().when + tick;
       if (cap < h) h = cap;
     }
     if (bounded) {
@@ -354,15 +391,10 @@ void Simulator::run_windowed(Time deadline, bool bounded) {
     // event an exclusive handler schedules at the same timestamp sorts
     // before the *next* exclusive, exactly as the serial stepper would run
     // them, so re-check the region heads between exclusives.
-    while (!excl_heap_.empty() && excl_heap_.front().when < h &&
-           !(bounded && deadline < excl_heap_.front().when)) {
-      const Event* rm = nullptr;
-      for (const auto& rp : regions_) {
-        if (!rp->heap.empty() && (rm == nullptr || rp->heap.front().before(*rm))) {
-          rm = &rp->heap.front();
-        }
-      }
-      if (rm != nullptr && rm->before(excl_heap_.front())) break;
+    while (!excl_.empty() && excl_.top().when < h &&
+           !(bounded && deadline < excl_.top().when)) {
+      const EventQueue::Key* rm = region_min();
+      if (rm != nullptr && rm->before(excl_.top())) break;
       const std::uint64_t t0 = prof_live ? obs::prof_now_ns() : 0;
       exec_exclusive_event();
       if (prof_live) {
@@ -471,11 +503,11 @@ void Simulator::run_worker_window(unsigned worker, Time horizon) {
     for (;;) {
       Region* best = nullptr;
       for (Region* r : owned) {
-        if (r->heap.empty() || !(r->heap.front().when < horizon)) continue;
-        if (best == nullptr || r->heap.front().before(best->heap.front())) best = r;
+        if (r->queue.empty() || !(r->queue.top().when < horizon)) continue;
+        if (best == nullptr || r->queue.top().before(best->queue.top())) best = r;
       }
       if (best == nullptr) break;
-      if (solo && !excl_heap_.empty() && excl_heap_.front().before(best->heap.front())) {
+      if (solo && !excl_.empty() && excl_.top().before(best->queue.top())) {
         break;
       }
       exec_region_event(*best);
@@ -495,14 +527,13 @@ void Simulator::run_worker_window(unsigned worker, Time horizon) {
 Simulator::DrainStats Simulator::drain_mailboxes() {
   DrainStats ds;
   for (std::size_t i = 0; i < mail_.size(); ++i) {
-    std::vector<Event>& box = mail_[i];
+    std::vector<Posted>& box = mail_[i];
     if (box.empty()) continue;
     if (box.size() > ds.max_depth) ds.max_depth = box.size();
     ds.drained += box.size();
-    std::vector<Event>& heap = regions_[i % mail_regions_]->heap;
-    for (Event& ev : box) {
-      heap.push_back(std::move(ev));
-      std::push_heap(heap.begin(), heap.end(), EventAfter{});
+    EventQueue& queue = regions_[i % mail_regions_]->queue;
+    for (Posted& ev : box) {
+      queue.push(ev.when, ev.seq, ev.origin, ev.queued_at, ev.ctx, std::move(ev.fn));
     }
     box.clear();  // keeps capacity for the next window
   }
@@ -568,8 +599,8 @@ std::uint64_t Simulator::events_executed() const {
 }
 
 std::size_t Simulator::pending() const {
-  std::size_t total = excl_heap_.size();
-  for (const auto& rp : regions_) total += rp->heap.size();
+  std::size_t total = excl_.size();
+  for (const auto& rp : regions_) total += rp->queue.size();
   for (const auto& box : mail_) total += box.size();
   return total;
 }

@@ -256,6 +256,66 @@ class EventFn {
   const VTable* vt_ = nullptr;
 };
 
+/// Pending events of one region (or of the exclusive queue), popped in
+/// (when, origin, seq) order. The binary heap sifts 24-byte keys only; each
+/// event's body (queue time, span context, callable) lives in a slot of
+/// fixed-size chunks that never move, recycled through a free list, so no
+/// sift ever relocates a callable. Dispatch order depends on the keys
+/// alone, which carry the same strict total order the full events did.
+/// pop() leaves the body in place and its slot reserved until release():
+/// a handler may schedule more events (growing the queue) while it runs.
+class EventQueue {
+ public:
+  struct Key {
+    Time when;
+    std::uint64_t seq;     // per-origin-region FIFO tie-break
+    std::uint32_t origin;  // scheduling region (kNoRegion for exclusive)
+    std::uint32_t slot;    // body index; no part of the order
+
+    bool before(const Key& o) const {
+      if (when != o.when) return when < o.when;
+      if (origin != o.origin) return origin < o.origin;
+      return seq < o.seq;
+    }
+  };
+
+  struct Body {
+    Time queued_at;  // scheduling time, for the dispatch-lag histogram
+    // Span context captured at schedule() and restored around dispatch, so
+    // causality crosses timers and modeled delays without any handler
+    // threading it through (DESIGN.md §8). Sidecar only: never on the wire.
+    obs::SpanContext ctx;
+    EventFn fn;
+  };
+
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return keys_.size(); }
+  /// The next event's key; the queue must not be empty.
+  const Key& top() const { return keys_.front(); }
+
+  BENTO_HOT void push(Time when, std::uint64_t seq, std::uint32_t origin, Time queued_at,
+                      obs::SpanContext ctx, EventFn fn);
+  /// Removes the head key. Its body stays valid until release(key.slot).
+  BENTO_HOT Key pop();
+  Body& body(std::uint32_t slot) { return chunks_[slot / kChunk][slot % kChunk]; }
+  /// Destroys a popped event's callable and recycles its slot.
+  BENTO_HOT void release(std::uint32_t slot);
+
+ private:
+  // Bodies per chunk: small, so a queue's slack beyond its peak depth stays
+  // under one kilobyte.
+  static constexpr std::uint32_t kChunk = 8;
+  void grow();
+
+  std::vector<Key> keys_;  // binary min-heap on Key::before
+  std::vector<std::unique_ptr<Body[]>> chunks_;
+  std::vector<std::uint32_t> free_;  // capacity == slots: push_back never grows
+};
+
 namespace detail {
 /// Per-thread execution context: which simulator/region is dispatching on
 /// this thread, and whether we are inside a parallel window (cross-region
@@ -390,22 +450,15 @@ class Simulator {
   std::size_t pending() const;
 
  private:
-  struct Event {
+  /// A cross-region event in flight: written to a mailbox by the origin's
+  /// worker, moved into the target's queue at the window barrier.
+  struct Posted {
     Time when;
-    Time queued_at;        // scheduling time, for the dispatch-lag histogram
-    std::uint64_t seq;     // per-origin-region FIFO tie-break
-    std::uint32_t origin;  // scheduling region (kNoRegion for exclusive)
-    // Span context captured at schedule() and restored around dispatch, so
-    // causality crosses timers and modeled delays without any handler
-    // threading it through (DESIGN.md §8). Sidecar only: never on the wire.
+    std::uint64_t seq;
+    std::uint32_t origin;
+    Time queued_at;
     obs::SpanContext ctx;
     EventFn fn;
-
-    bool before(const Event& o) const {
-      if (when != o.when) return when < o.when;
-      if (origin != o.origin) return origin < o.origin;
-      return seq < o.seq;
-    }
   };
 
   /// One region: the determinism unit. heap/pool/rng/clock are owned by
@@ -416,8 +469,8 @@ class Simulator {
     Time now{};
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
-    SlabPool pool;  // declared before heap: events may hold pooled slabs
-    std::vector<Event> heap;
+    SlabPool pool;  // declared before queue: events may hold pooled slabs
+    EventQueue queue;
     util::Rng rng{1};
   };
 
@@ -431,6 +484,8 @@ class Simulator {
   void post_boxed(Region& origin, std::uint32_t target, Time t, EventFn fn);
   void schedule_exclusive(Time t, EventFn fn);
 
+  /// The earliest head key over every region queue, or nullptr.
+  const EventQueue::Key* region_min() const;
   /// Pops and dispatches the head of `r` (counters, trace, span context).
   BENTO_HOT void exec_region_event(Region& r);
   void exec_exclusive_event();
@@ -459,10 +514,10 @@ class Simulator {
   // unique_ptr keeps Region addresses stable across add_region() (handlers
   // and the TLS exec context hold raw pointers).
   std::vector<std::unique_ptr<Region>> regions_;
-  std::vector<Event> excl_heap_;
+  EventQueue excl_;
   // Mailboxes, index [origin * regions + target]: written by the origin's
   // worker during a window, drained by the coordinator at the barrier.
-  std::vector<std::vector<Event>> mail_;
+  std::vector<std::vector<Posted>> mail_;
   std::size_t mail_regions_ = 0;  // regions() the mailbox grid is sized for
   // Regions each worker drives. Rebuilt only when the region count changes
   // (owned_built_ tracks it), so steady-state windowed runs reuse capacity

@@ -59,8 +59,8 @@ class NullSealer final : public Sealer {
 
 /// ChaCha20-Poly1305 sealer. Output is byte-identical to
 /// crypto::chapoly_seal (ciphertext || 16-byte tag) with the nonce derived
-/// from `seq`; the append path reuses a scratch buffer so a steady-state
-/// seal performs zero heap allocations.
+/// from `seq`; the append path seals in place in the caller's buffer and
+/// streams the MAC, so a steady-state seal performs zero heap allocations.
 class ChaPolySealer final : public Sealer {
  public:
   explicit ChaPolySealer(crypto::ChaChaKey key);
@@ -76,7 +76,6 @@ class ChaPolySealer final : public Sealer {
 
  private:
   crypto::ChaChaKey key_;
-  util::Bytes mac_scratch_;  // reused across appends; capacity amortizes
 };
 
 std::unique_ptr<Sealer> make_null_sealer();

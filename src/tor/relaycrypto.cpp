@@ -76,13 +76,17 @@ BENTO_HOT bool LayerCrypto::check(crypto::Sha256& running,
   std::memcpy(claimed, payload.data() + kDigestOff, 4);
   std::memset(payload.data() + kDigestOff, 0, 4);
 
-  // One copy only: the candidate that becomes the committed state on match.
-  crypto::Sha256 candidate = running;
-  candidate.update(payload);
-  const crypto::Digest d = candidate.peek_digest();
+  // One copy only: the running state is advanced in place and the saved
+  // copy restores it if the cell turns out not to be ours. Cells that reach
+  // this point (recognized field zero) are nearly always ours, so the
+  // commit costs no second copy.
+  const crypto::Sha256 saved = running;
+  running.update(payload);
+  const crypto::Digest d = running.peek_digest();
   std::memcpy(payload.data() + kDigestOff, claimed, 4);
   if (std::memcmp(claimed, d.data(), 4) != 0) {
-    // Not ours: payload is restored and the running state was never touched.
+    // Not ours: payload and running state are both restored.
+    running = saved;
     metrics.misses.inc();
     metrics.digest_mismatches.inc();
     // Formatting four hex bytes per unmatched cell would dominate the relay
@@ -95,7 +99,6 @@ BENTO_HOT bool LayerCrypto::check(crypto::Sha256& running,
     return false;
   }
   metrics.hits.inc();
-  running = candidate;
   return true;
 }
 

@@ -35,6 +35,9 @@ class Writer {
   void str(std::string_view s);
   /// Unsigned LEB128.
   void varint(std::uint64_t v);
+  /// Reserves room for `n` more bytes, so a writer that knows its output
+  /// size in advance allocates once.
+  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
 
   const Bytes& data() const& { return out_; }
   Bytes take() && { return std::move(out_); }

@@ -145,6 +145,29 @@ TEST(Message, FramerReassemblesSplits) {
   EXPECT_EQ(got[1].type, bc::MsgType::Ok);
 }
 
+// A frame is the u32 big-endian body length followed by serialize()'s
+// bytes, built in one exactly-sized buffer.
+TEST(Message, FrameIsLengthPrefixedSerializationAtExactSize) {
+  bc::Message m;
+  m.type = bc::MsgType::SpawnReply;
+  m.container_id = 0x0102030405060708ULL;
+  m.text = "python-op-sgx";
+  m.blob = bu::Bytes(300, 0x5a);
+  m.blob2 = bu::to_bytes("accept");
+  m.token = bu::Bytes(32, 0x01);
+  const bu::Bytes body = m.serialize();
+  EXPECT_EQ(body.size(), m.serialized_size());
+  const bu::Bytes wire = bc::StreamFramer::frame(m);
+  ASSERT_EQ(wire.size(), 4 + body.size());
+  EXPECT_EQ(wire.capacity(), wire.size());
+  EXPECT_EQ(wire[0], static_cast<std::uint8_t>(body.size() >> 24));
+  EXPECT_EQ(wire[1], static_cast<std::uint8_t>(body.size() >> 16));
+  EXPECT_EQ(wire[2], static_cast<std::uint8_t>(body.size() >> 8));
+  EXPECT_EQ(wire[3], static_cast<std::uint8_t>(body.size()));
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), wire.begin() + 4));
+  EXPECT_EQ(bc::Message::deserialize(body).text, m.text);
+}
+
 TEST(Message, FramerHandlesByteAtATime) {
   bc::Message m;
   m.type = bc::MsgType::Output;

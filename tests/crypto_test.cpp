@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <vector>
 
 #include "crypto/aead.hpp"
@@ -731,5 +732,264 @@ TEST(Dh, GoldenKeysAndSharedSecrets) {
     EXPECT_EQ(bu::to_hex(bc::gp_to_bytes(b.public_value)), g.b_public) << g.seed;
     EXPECT_EQ(bu::to_hex(bc::dh_shared(a, b.public_value)), g.shared) << g.seed;
     EXPECT_EQ(bc::dh_shared(b, a.public_value), bc::dh_shared(a, b.public_value)) << g.seed;
+  }
+}
+
+// ---- ChaCha20 kernels, run directly (below the ChaCha20 dispatch) ----
+
+namespace {
+std::array<std::uint32_t, 16> chacha_state(const bc::ChaChaKey& key,
+                                           const bc::ChaChaNonce& nonce,
+                                           std::uint32_t counter) {
+  auto le32 = [](const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+  };
+  std::array<std::uint32_t, 16> s = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+  for (std::size_t i = 0; i < 8; ++i) s[4 + i] = le32(key.data() + 4 * i);
+  s[12] = counter;
+  for (std::size_t i = 0; i < 3; ++i) s[13 + i] = le32(nonce.data() + 4 * i);
+  return s;
+}
+
+// `n` keystream bytes from the portable kernel, 512 bytes per call; the
+// block counter wraps mod 2^32 exactly as the cipher's does.
+bu::Bytes portable_keystream(std::array<std::uint32_t, 16> s, std::size_t n) {
+  bu::Bytes out((n + 511) / 512 * 512);
+  for (std::size_t off = 0; off < out.size(); off += 512) {
+    bc::detail::chacha20_kernel_portable(s.data(), nullptr, out.data() + off);
+    s[12] += 8;
+  }
+  out.resize(n);
+  return out;
+}
+
+void expect_rfc8439_chacha_vectors(bc::detail::ChaChaKernel kernel) {
+  bc::ChaChaKey key{};
+  for (std::size_t i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(i);
+  // §2.4.2: the sunscreen plaintext from counter 1, XORed by the kernel.
+  bc::ChaChaNonce nonce{};
+  nonce[7] = 0x4a;
+  const std::string plaintext =
+      "Ladies and Gentlemen of the class of '99: If I could offer you "
+      "only one tip for the future, sunscreen would be it.";
+  std::array<std::uint8_t, 512> buf{};
+  std::copy(plaintext.begin(), plaintext.end(), buf.begin());
+  auto st = chacha_state(key, nonce, 1);
+  kernel(st.data(), buf.data(), buf.data());
+  EXPECT_EQ(bu::to_hex(bu::ByteView(buf.data(), plaintext.size())),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
+  // §2.3.2: the bare keystream block (null input).
+  nonce[3] = 0x09;
+  st = chacha_state(key, nonce, 1);
+  kernel(st.data(), nullptr, buf.data());
+  EXPECT_EQ(bu::to_hex(bu::ByteView(buf.data(), 64)),
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
+  // A.1 #1: zero key and nonce, counter 0.
+  st = chacha_state(bc::ChaChaKey{}, bc::ChaChaNonce{}, 0);
+  kernel(st.data(), nullptr, buf.data());
+  EXPECT_EQ(bu::to_hex(bu::ByteView(buf.data(), 64)),
+            "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+            "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586");
+}
+
+// Random full states (counters near the 2^32 wrap included), with and
+// without input, in place and out of place, against the portable body.
+void expect_kernel_matches_portable(bc::detail::ChaChaKernel kernel, std::uint64_t seed) {
+  bu::Rng rng(seed);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::array<std::uint32_t, 16> st{};
+    for (auto& w : st) w = static_cast<std::uint32_t>(rng.next_u64());
+    if (iter % 3 == 0) st[12] = 0xffffffffu - static_cast<std::uint32_t>(rng.uniform(0, 8));
+    const bu::Bytes in = rng.bytes(512);
+    const bool with_input = iter % 2 == 0;
+    const std::uint8_t* src = with_input ? in.data() : nullptr;
+    std::array<std::uint8_t, 512> want{};
+    bc::detail::chacha20_kernel_portable(st.data(), src, want.data());
+    std::array<std::uint8_t, 512> got{};
+    kernel(st.data(), src, got.data());
+    EXPECT_EQ(got, want) << "iter " << iter << " counter " << st[12];
+    if (with_input) {
+      bu::Bytes inplace = in;
+      kernel(st.data(), inplace.data(), inplace.data());
+      EXPECT_TRUE(std::equal(inplace.begin(), inplace.end(), want.begin())) << "iter " << iter;
+    }
+  }
+}
+}  // namespace
+
+TEST(ChaCha20Kernel, PortableRfc8439Vectors) {
+  expect_rfc8439_chacha_vectors(bc::detail::chacha20_kernel_portable);
+}
+
+TEST(ChaCha20Kernel, Avx2Rfc8439VectorsAndMatchesPortable) {
+  const bc::detail::ChaChaKernel k = bc::detail::chacha20_avx2_kernel();
+  if (k == nullptr) GTEST_SKIP() << "host CPU has no AVX2; AVX2 ChaCha20 kernel not run";
+  expect_rfc8439_chacha_vectors(k);
+  expect_kernel_matches_portable(k, 2001);
+}
+
+TEST(ChaCha20Kernel, Avx512Rfc8439VectorsAndMatchesPortable) {
+  const bc::detail::ChaChaKernel k = bc::detail::chacha20_avx512_kernel();
+  if (k == nullptr) {
+    GTEST_SKIP() << "host CPU has no AVX-512F/VL; AVX-512 ChaCha20 kernel not run";
+  }
+  expect_rfc8439_chacha_vectors(k);
+  expect_kernel_matches_portable(k, 2002);
+}
+
+// The cipher (whichever kernel this host picked, the direct whole-run XOR
+// included) over 1-4 process() calls split at random points, with counters
+// that wrap past 2^32 mid-message, against the portable keystream.
+TEST(ChaCha20Kernel, ProcessSplitsMatchPortableAcrossCounterWrap) {
+  bu::Rng rng(2003);
+  for (int iter = 0; iter < 300; ++iter) {
+    bc::ChaChaKey key{};
+    bc::ChaChaNonce nonce{};
+    const bu::Bytes kb = rng.bytes(32 + 12);
+    std::copy(kb.begin(), kb.begin() + 32, key.begin());
+    std::copy(kb.begin() + 32, kb.end(), nonce.begin());
+    const auto counter = iter % 2 == 0
+                             ? 0xffffffffu - static_cast<std::uint32_t>(rng.uniform(0, 40))
+                             : static_cast<std::uint32_t>(rng.next_u64());
+    const bu::Bytes data = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 4096)));
+    std::vector<std::size_t> cuts = {0, data.size()};
+    for (std::uint64_t k = rng.uniform(0, 3); k > 0; --k) {
+      cuts.push_back(static_cast<std::size_t>(rng.uniform(0, data.size())));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    bc::ChaCha20 cipher(key, nonce, counter);
+    bu::Bytes got = data;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      cipher.process(std::span<std::uint8_t>(got.data() + cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    bu::Bytes want = portable_keystream(chacha_state(key, nonce, counter), data.size());
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] ^= data[i];
+    EXPECT_EQ(got, want) << "iter " << iter << " len " << data.size();
+  }
+}
+
+TEST(ChaCha20, SkipAdvancesTheKeystream) {
+  bc::ChaChaKey key{};
+  key[5] = 9;
+  const bc::ChaChaNonce nonce{};
+  const bu::Bytes stream = portable_keystream(chacha_state(key, nonce, 0), 2048);
+  for (const std::size_t skip : {0u, 1u, 32u, 63u, 448u, 512u, 700u, 1024u}) {
+    bc::ChaCha20 c(key, nonce, 0);
+    std::array<std::uint8_t, 32> head{};
+    c.process(head);
+    c.skip(skip);
+    bu::Bytes tail(600, 0);
+    c.process(tail);
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), stream.begin())) << skip;
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                           stream.begin() + static_cast<std::ptrdiff_t>(32 + skip)))
+        << skip;
+  }
+}
+
+// ---- Poly1305: incremental MAC and final-reduction edge cases ----
+
+// RFC 8439 A.3 vectors #5-#9: accumulators that end at or above
+// p = 2^130 - 5, and an s addition that overflows 2^128.
+TEST(Poly1305, Rfc8439FinalReductionVectors) {
+  struct Vec {
+    const char* key;  // r || s
+    const char* msg;
+    const char* tag;
+  };
+  const Vec vecs[] = {
+      {"0200000000000000000000000000000000000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff", "03000000000000000000000000000000"},
+      {"02000000000000000000000000000000ffffffffffffffffffffffffffffffff",
+       "02000000000000000000000000000000", "03000000000000000000000000000000"},
+      {"0100000000000000000000000000000000000000000000000000000000000000",
+       "fffffffffffffffffffffffffffffffff0ffffffffffffffffffffffffffffff"
+       "11000000000000000000000000000000",
+       "05000000000000000000000000000000"},
+      {"0100000000000000000000000000000000000000000000000000000000000000",
+       "fffffffffffffffffffffffffffffffffbfefefefefefefefefefefefefefefe"
+       "01010101010101010101010101010101",
+       "00000000000000000000000000000000"},
+      {"0200000000000000000000000000000000000000000000000000000000000000",
+       "fdffffffffffffffffffffffffffffff", "faffffffffffffffffffffffffffffff"},
+  };
+  for (const Vec& v : vecs) {
+    const bu::Bytes kb = bu::from_hex(v.key);
+    bc::Poly1305Key key{};
+    std::copy(kb.begin(), kb.end(), key.begin());
+    const bc::Poly1305Tag tag = bc::poly1305(key, bu::from_hex(v.msg));
+    EXPECT_EQ(bu::to_hex(bu::ByteView(tag.data(), tag.size())), v.tag) << v.msg;
+  }
+}
+
+TEST(Poly1305, IncrementalMatchesOneShotOverRandomSplits) {
+  bu::Rng rng(2101);
+  for (int iter = 0; iter < 400; ++iter) {
+    bc::Poly1305Key key{};
+    const bu::Bytes kb = rng.bytes(32);
+    std::copy(kb.begin(), kb.end(), key.begin());
+    // All-ones messages push every limb to its maximum.
+    bu::Bytes msg = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 1100)));
+    if (iter % 5 == 0) std::fill(msg.begin(), msg.end(), 0xff);
+    std::vector<std::size_t> cuts = {0, msg.size()};
+    for (std::uint64_t k = rng.uniform(0, 6); k > 0; --k) {
+      cuts.push_back(static_cast<std::size_t>(rng.uniform(0, msg.size())));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    bc::Poly1305 mac(key);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      mac.update(bu::ByteView(msg.data() + cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    EXPECT_EQ(mac.finish(), bc::poly1305(key, msg)) << "iter " << iter;
+  }
+}
+
+TEST(Poly1305, Pad16MatchesExplicitZeroPadding) {
+  bu::Rng rng(2102);
+  for (std::size_t n = 0; n < 40; ++n) {
+    bc::Poly1305Key key{};
+    const bu::Bytes kb = rng.bytes(32);
+    std::copy(kb.begin(), kb.end(), key.begin());
+    const bu::Bytes a = rng.bytes(n);
+    bc::Poly1305 mac(key);
+    mac.update(a);
+    mac.pad16();
+    mac.update(bu::to_bytes("tail"));
+    bu::Bytes padded = a;
+    while (padded.size() % 16 != 0) padded.push_back(0);
+    bu::append(padded, bu::to_bytes("tail"));
+    EXPECT_EQ(mac.finish(), bc::poly1305(key, padded)) << n;
+  }
+}
+
+// The streamed AEAD tag (one cipher: key from block 0, payload from block 1)
+// against the MAC input assembled byte by byte as RFC 8439 §2.8 lays it out.
+TEST(Poly1305, SealInplaceMatchesAssembledMacInput) {
+  bu::Rng rng(2103);
+  for (int iter = 0; iter < 100; ++iter) {
+    bc::ChaChaKey key{};
+    const bu::Bytes kb = rng.bytes(32);
+    std::copy(kb.begin(), kb.end(), key.begin());
+    const bc::ChaChaNonce nonce = bc::nonce_from_counter(rng.next_u64());
+    const bu::Bytes aad = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 40)));
+    const bu::Bytes pt = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 2000)));
+    bu::Bytes ct = pt;
+    const bc::Poly1305Tag tag = bc::chapoly_seal_inplace(key, nonce, aad, ct);
+    EXPECT_EQ(ct, bc::chacha20_xor(key, nonce, 1, pt));
+    bc::Poly1305Key otk{};
+    bc::chacha20_xor_inplace(key, nonce, 0, otk);
+    bu::Bytes mac_data = aad;
+    while (mac_data.size() % 16 != 0) mac_data.push_back(0);
+    bu::append(mac_data, ct);
+    while (mac_data.size() % 16 != 0) mac_data.push_back(0);
+    for (const std::uint64_t len : {aad.size(), ct.size()}) {
+      for (int i = 0; i < 8; ++i) mac_data.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    }
+    EXPECT_EQ(tag, bc::poly1305(otk, mac_data)) << "iter " << iter;
   }
 }

@@ -9,6 +9,7 @@
 #include "functions/pow.hpp"
 #include "functions/shard.hpp"
 #include "tor/hs.hpp"
+#include "util/rng.hpp"
 #include "util/zlite.hpp"
 
 namespace bc = bento::core;
@@ -90,6 +91,28 @@ TEST(FunctionsE2E, BrowserFetchesCompressesAndPads) {
   // decompress tolerates trailing bytes? No — so decompress the exact
   // prefix by re-compressing the expected page for reference:
   EXPECT_EQ(bu::to_string(unpadded), page);
+}
+
+// A page that compresses to more than `padding` bytes is padded up to the
+// next multiple of it, not by (len + padding) % padding bytes.
+TEST(FunctionsE2E, BrowserPadsPagesLargerThanPaddingToAMultiple) {
+  bc::BentoWorld world;
+  world.start();
+  bu::Rng rng(9);
+  const bu::Bytes page = rng.bytes(10'000);  // random bytes barely compress
+  world.bed().add_web_server(bt::parse_addr("93.184.216.34"),
+                             [&page](const std::string&) { return page; });
+  auto client = world.make_client("alice");
+  auto d = deploy_function(world, client, exit_box_of(world),
+                           bf::browser_manifest(), bf::browser_source());
+  ASSERT_TRUE(d.tokens.has_value()) << d.error;
+  d.conn->invoke(d.tokens->invocation.bytes(),
+                 bu::to_bytes("http://93.184.216.34/big.html 4096"));
+  world.run();
+  ASSERT_EQ(d.outputs.size(), 1u);
+  EXPECT_GT(bu::zlite::compress(page).size(), 4096u);
+  EXPECT_EQ(d.outputs[0].size() % 4096, 0u);
+  EXPECT_EQ(d.outputs[0].size(), 12288u);  // ~10 KB compressed: three 4 KiB units
 }
 
 TEST(FunctionsE2E, BrowserZeroPaddingReturnsCompressedOnly) {

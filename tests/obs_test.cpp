@@ -6,7 +6,10 @@
 // byte-identical JSONL.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/world.hpp"
 #include "obs/metrics.hpp"
@@ -15,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "tor/testbed.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/simclock.hpp"
 
 namespace bo = bento::obs;
@@ -60,6 +64,60 @@ TEST(Metrics, HistogramBucketEdges) {
   EXPECT_EQ(cell->min, -5);
   EXPECT_EQ(cell->max, 1000);
   EXPECT_EQ(cell->sum, -5 + 9 + 10 + 19 + 20 + 29 + 30 + 1000);
+}
+
+// record() starts its bound scan at a per-bit-width index; bucket counts
+// must equal a plain linear scan for any ladder (dense, sparse, negative
+// bounds) at every edge and edge +/- 1, and at the int64 extremes.
+TEST(Metrics, HistogramIndexedBucketsMatchLinearScan) {
+  auto linear_bucket = [](const std::vector<std::int64_t>& bounds, std::int64_t v) {
+    std::size_t i = 0;
+    while (i < bounds.size() && v >= bounds[i]) ++i;
+    return i;
+  };
+  const std::vector<std::vector<std::int64_t>> ladders = {
+      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1'024, 4'096, 16'384, 65'536},
+      {100, 250, 500, 1'000, 2'500, 5'000, 10'000, 25'000, 50'000, 100'000},
+      {-50, -3, 0, 1, 2, 3, 5, 6, 7, 8, 9, 1'000'000'000'000},
+  };
+  bu::Rng rng(12);
+  for (std::size_t li = 0; li < ladders.size(); ++li) {
+    const std::vector<std::int64_t>& bounds = ladders[li];
+    bo::Histogram h = bo::registry().histogram("test.indexed" + std::to_string(li), bounds);
+    std::vector<std::int64_t> values = {0};
+    for (const std::int64_t b : bounds) {
+      for (const std::int64_t d : {-1, 0, 1}) values.push_back(b + d);
+    }
+    // Magnitudes below 2^52 keep the histogram's running sum in range.
+    for (int i = 0; i < 2000; ++i) {
+      const auto mag = static_cast<std::int64_t>(rng.next_u64() >> rng.uniform(12, 63));
+      values.push_back(i % 4 == 0 ? -mag : mag);
+    }
+    std::vector<std::uint64_t> want(bounds.size() + 1, 0);
+    for (const std::int64_t v : values) {
+      h.record(v);
+      want[linear_bucket(bounds, v)] += 1;
+    }
+    EXPECT_EQ(h.cell()->buckets, want) << "ladder " << li;
+  }
+  // Extremes, one value per histogram so no running sum overflows.
+  const std::vector<std::int64_t> wide = {std::numeric_limits<std::int64_t>::min() + 1, -1, 7,
+                                          std::int64_t{1} << 62,
+                                          std::numeric_limits<std::int64_t>::max()};
+  const std::int64_t extremes[] = {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::min() + 1,
+                                   -2,
+                                   (std::int64_t{1} << 62) - 1,
+                                   std::int64_t{1} << 62,
+                                   std::numeric_limits<std::int64_t>::max() - 1,
+                                   std::numeric_limits<std::int64_t>::max()};
+  for (std::size_t i = 0; i < std::size(extremes); ++i) {
+    bo::Histogram h = bo::registry().histogram("test.indexed_wide" + std::to_string(i), wide);
+    h.record(extremes[i]);
+    std::vector<std::uint64_t> want(wide.size() + 1, 0);
+    want[linear_bucket(wide, extremes[i])] = 1;
+    EXPECT_EQ(h.cell()->buckets, want) << extremes[i];
+  }
 }
 
 TEST(Metrics, HistogramBoundsValidated) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -312,6 +313,151 @@ TEST(Network, DefaultLatencyApplies) {
   auto a = net.add_node({"a", 1e9, 1e9});
   auto b = net.add_node({"b", 1e9, 1e9});
   EXPECT_EQ(net.latency(a, b).to_millis(), 123);
+}
+
+// The dense latency table follows explicit pairs, default changes made
+// before or after them, and nodes added later.
+TEST(Network, LatencyTableTracksSetsDefaultsAndNewNodes) {
+  bs::Simulator sim(1);
+  bs::Network net(sim);
+  auto a = net.add_node({"a", 1e9, 1e9});
+  auto b = net.add_node({"b", 1e9, 1e9});
+  net.set_latency(b, a, Duration::micros(700));
+  EXPECT_EQ(net.latency(a, b).count_micros(), 700);
+  EXPECT_EQ(net.latency(b, a).count_micros(), 700);
+  EXPECT_EQ(net.latency(a, a).count_micros(), 40'000);
+  net.set_default_latency(Duration::micros(900));
+  auto c = net.add_node({"c", 1e9, 1e9});
+  EXPECT_EQ(net.latency(a, b).count_micros(), 700);  // explicit survives
+  EXPECT_EQ(net.latency(c, a).count_micros(), 900);
+  EXPECT_EQ(net.latency(b, c).count_micros(), 900);
+  net.set_latency(c, c, Duration::micros(5));
+  EXPECT_EQ(net.latency(c, c).count_micros(), 5);
+  net.set_default_latency(Duration::micros(1000));
+  EXPECT_EQ(net.latency(c, c).count_micros(), 5);
+  EXPECT_EQ(net.latency(a, c).count_micros(), 1000);
+}
+
+// ---- Key-only event queue ----
+
+namespace {
+// The pre-key-queue representation: whole events sifted through a binary
+// heap under the same (when, origin, seq) order.
+struct FullEvent {
+  Time when;
+  std::uint64_t seq;
+  std::uint32_t origin;
+  Time queued_at;
+  bento::obs::SpanContext ctx;
+  bs::EventFn fn;
+  bool before(const FullEvent& o) const {
+    if (when != o.when) return when < o.when;
+    if (origin != o.origin) return origin < o.origin;
+    return seq < o.seq;
+  }
+};
+struct FullAfter {
+  bool operator()(const FullEvent& a, const FullEvent& b) const { return b.before(a); }
+};
+}  // namespace
+
+// Random interleavings of pushes and pops, many equal timestamps, origins
+// standing in for cross-region posts (the exclusive rank included), and
+// pushes made between a pop and its release, as a running handler does:
+// the key queue and a reference heap of full events pop the same events
+// in the same order, and every popped body is the one pushed with its key.
+TEST(EventQueue, PopsInReferenceHeapOrder) {
+  bs::SlabPool pool;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    bu::Rng rng(seed);
+    bs::EventQueue queue;
+    std::vector<FullEvent> ref;
+    std::uint64_t next_seq[4] = {0, 0, 0, 0};
+    constexpr std::uint32_t kOrigins[4] = {0, 1, 2, bs::Simulator::kNoRegion};
+    std::uint64_t next_id = 0;
+    std::uint64_t ran = 0;  // id of the last body invoked
+    auto push_both = [&](Time now) {
+      const std::size_t o = static_cast<std::size_t>(rng.uniform(0, 3));
+      const Time when = now + Duration::micros(static_cast<std::int64_t>(rng.uniform(0, 4)));
+      const std::uint64_t seq = next_seq[o]++;
+      const std::uint64_t id = next_id++;
+      const bento::obs::SpanContext ctx{static_cast<std::uint32_t>(id), 1};
+      queue.push(when, seq, kOrigins[o], now, ctx, bs::EventFn(pool, [&ran, id] { ran = id; }));
+      ref.push_back(FullEvent{when, seq, kOrigins[o], now, ctx,
+                              bs::EventFn(pool, [&ran, id] { ran = id; })});
+      std::push_heap(ref.begin(), ref.end(), FullAfter{});
+    };
+    Time now = Time::from_micros(0);
+    for (int i = 0; i < 64; ++i) push_both(now);
+    std::uint64_t popped = 0;
+    while (!ref.empty()) {
+      ASSERT_EQ(queue.size(), ref.size());
+      std::pop_heap(ref.begin(), ref.end(), FullAfter{});
+      FullEvent want = std::move(ref.back());
+      ref.pop_back();
+      const bs::EventQueue::Key k = queue.pop();
+      ASSERT_EQ(k.when, want.when);
+      ASSERT_EQ(k.origin, want.origin);
+      ASSERT_EQ(k.seq, want.seq);
+      bs::EventQueue::Body& body = queue.body(k.slot);
+      body.fn();
+      const std::uint64_t got_id = ran;
+      want.fn();
+      ASSERT_EQ(got_id, ran);
+      EXPECT_EQ(body.ctx.trace_id, want.ctx.trace_id);
+      now = k.when;
+      // A "handler" scheduling while its own body is still leased.
+      for (std::uint64_t n = rng.uniform(0, 2); n > 0 && next_id < 2000; --n) push_both(now);
+      queue.release(k.slot);
+      ++popped;
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(popped, next_id);
+  }
+}
+
+// Cross-region posts at equal timestamps, from handlers in every region of
+// a windowed multi-region run: each region dispatches its events in
+// (when, origin region, per-origin posting order).
+TEST(Simulator, CrossRegionPostsDispatchInKeyOrder) {
+  for (const unsigned shards : {1u, 2u}) {
+    bs::Simulator sim(5, shards);
+    const std::uint32_t r1 = sim.add_region();
+    const std::uint32_t r2 = sim.add_region();
+    sim.set_lookahead(Duration::micros(100));
+    struct Seen {
+      std::int64_t when;
+      std::uint32_t origin;
+      std::uint64_t order;
+    };
+    std::vector<Seen> seen[3];
+    std::uint64_t posted[3] = {0, 0, 0};
+    const std::uint32_t regions[3] = {0, r1, r2};
+    for (std::uint32_t src = 0; src < 3; ++src) {
+      sim.post(regions[src], Time::from_micros(10), [&, src] {
+        for (int k = 0; k < 12; ++k) {
+          const std::uint32_t dst = regions[(src + static_cast<std::uint32_t>(k)) % 3];
+          const auto when = Time::from_micros(500 + 100 * (k % 3));
+          const std::uint64_t order = posted[src]++;
+          sim.post(dst, when, [&, dst, src, order, when] {
+            seen[dst].push_back(Seen{when.micros(), src, order});
+          });
+        }
+      });
+    }
+    sim.run();
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      ASSERT_EQ(seen[r].size(), 12u) << "region " << r;
+      for (std::size_t i = 1; i < seen[r].size(); ++i) {
+        const Seen& a = seen[r][i - 1];
+        const Seen& b = seen[r][i];
+        const bool ordered = a.when != b.when ? a.when < b.when
+                             : a.origin != b.origin ? a.origin < b.origin
+                                                    : a.order < b.order;
+        EXPECT_TRUE(ordered) << "shards " << shards << " region " << r << " at " << i;
+      }
+    }
+  }
 }
 
 TEST(Transport, SmallTransferIsRttBound) {

@@ -86,6 +86,29 @@ TEST(Store, Crc32cKnownAnswers) {
   EXPECT_EQ(bs::crc32c_final(state), 0xe3069283u);
 }
 
+TEST(Store, Crc32cTableKernelKnownAnswer) {
+  const std::string digits = "123456789";
+  const std::uint32_t state = bs::detail::crc32c_update_table(
+      bs::crc32c_init(), reinterpret_cast<const std::uint8_t*>(digits.data()), digits.size());
+  EXPECT_EQ(bs::crc32c_final(state), 0xe3069283u);
+}
+
+// The SSE4.2 kernel against the table kernel over every length 0..4 KiB, at
+// unaligned starts and from non-initial running states.
+TEST(Store, Crc32cSse42MatchesTable) {
+  const bs::detail::Crc32cKernel sse42 = bs::detail::crc32c_sse42_kernel();
+  if (sse42 == nullptr) GTEST_SKIP() << "host CPU has no SSE4.2; SSE4.2 CRC32C kernel not run";
+  bu::Rng rng(77);
+  const bu::Bytes data = rng.bytes(4096 + 16);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const std::size_t start = len % 8;
+    const auto state = len % 3 == 0 ? bs::crc32c_init() : static_cast<std::uint32_t>(rng.next_u64());
+    EXPECT_EQ(sse42(state, data.data() + start, len),
+              bs::detail::crc32c_update_table(state, data.data() + start, len))
+        << "len " << len << " start " << start;
+  }
+}
+
 TEST(Store, SealerMatchesReferenceAead) {
   // ChaPolySealer::seal_append must be byte-identical to crypto::chapoly_seal
   // — same ciphertext, same tag — for any (seq, aad, plaintext).
