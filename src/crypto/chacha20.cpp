@@ -70,8 +70,10 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
   x[b] ^= x[c];                       \
   x[b] = (x[b] << 7) | (x[b] >> 25);
 
+#define BENTO_CHACHA_SHIFT_ROT16(v) (v) = ((v) << 16) | ((v) >> 16)
+#define BENTO_CHACHA_SHIFT_ROT8(v) (v) = ((v) << 8) | ((v) >> 24)
 #ifdef BENTO_ROT16
-#define BENTO_CHACHA_ROT16(v)                                              \
+#define BENTO_CHACHA_SHUFFLE_ROT16(v)                                      \
   {                                                                        \
     using v16 = std::uint16_t __attribute__((vector_size(32)));            \
     v16 h;                                                                 \
@@ -79,7 +81,7 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
     h = BENTO_ROT16(h);                                                    \
     std::memcpy(&(v), &h, 32);                                             \
   }
-#define BENTO_CHACHA_ROT8(v)                                               \
+#define BENTO_CHACHA_SHUFFLE_ROT8(v)                                       \
   {                                                                        \
     using v8 = std::uint8_t __attribute__((vector_size(32)));              \
     v8 b8;                                                                 \
@@ -87,9 +89,19 @@ BENTO_HOT void store32(std::uint8_t* p, std::uint32_t v) {
     b8 = BENTO_ROT8(b8);                                                   \
     std::memcpy(&(v), &b8, 32);                                            \
   }
+#endif
+
+// The portable body shuffles only where one instruction shuffles the whole
+// 32-byte vector. Without AVX2, GCC 12 lowers the shuffles to scalar byte
+// moves, even with SSSE3's pshufb available, and shift-or rotates run
+// several times faster.
+#if defined(BENTO_ROT16) && \
+    (defined(__AVX2__) || !(defined(__x86_64__) || defined(__i386__)))
+#define BENTO_CHACHA_ROT16 BENTO_CHACHA_SHUFFLE_ROT16
+#define BENTO_CHACHA_ROT8 BENTO_CHACHA_SHUFFLE_ROT8
 #else
-#define BENTO_CHACHA_ROT16(v) (v) = ((v) << 16) | ((v) >> 16)
-#define BENTO_CHACHA_ROT8(v) (v) = ((v) << 8) | ((v) >> 24)
+#define BENTO_CHACHA_ROT16 BENTO_CHACHA_SHIFT_ROT16
+#define BENTO_CHACHA_ROT8 BENTO_CHACHA_SHIFT_ROT8
 #endif
 
 // `state` is the 16-word ChaCha state; leaves the eight finished blocks
@@ -129,6 +141,14 @@ BENTO_HOT void kernel_portable(const std::uint32_t* state, const std::uint8_t* i
   BENTO_CHACHA_ROUNDS8(state)
   BENTO_CHACHA_WORD_STORE
 }
+
+// The AVX2 kernel always has vpshufb.
+#ifdef BENTO_ROT16
+#undef BENTO_CHACHA_ROT16
+#undef BENTO_CHACHA_ROT8
+#define BENTO_CHACHA_ROT16 BENTO_CHACHA_SHUFFLE_ROT16
+#define BENTO_CHACHA_ROT8 BENTO_CHACHA_SHUFFLE_ROT8
+#endif
 
 #if defined(__x86_64__) || defined(__i386__)
 #if BENTO_CHACHA_SHUFFLE

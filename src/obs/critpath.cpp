@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <tuple>
+
+#include "util/json.hpp"
 
 namespace bento::obs {
 
@@ -296,32 +299,66 @@ std::string BlameProfile::top_segment() const {
 }
 
 void BlameProfile::to_json(std::ostream& os) const {
-  os << "{\"critpath\":{\"requests\":" << requests
-     << ",\"incomplete\":" << incomplete << ",\"total_us\":{\"sum\":" << sum_us
-     << ",\"p50\":" << p50_us << ",\"p99\":" << p99_us
-     << ",\"p99_9\":" << p999_us << "},\"cohorts\":{\"body_n\":" << body_n
-     << ",\"body_mean_us\":" << body_mean_us << ",\"tail_n\":" << tail_n
-     << ",\"tail_mean_us\":" << tail_mean_us << "},\"top\":\"" << top_segment()
-     << "\",\"segments\":[";
-  bool first = true;
+  util::json::Writer w(os);
+  w.begin_object().key("critpath").begin_object().field("requests", requests);
+  w.field("incomplete", incomplete).key("total_us").begin_object().field("sum", sum_us);
+  w.field("p50", p50_us).field("p99", p99_us).field("p99_9", p999_us).end_object();
+  w.key("cohorts").begin_object().field("body_n", body_n);
+  w.field("body_mean_us", body_mean_us).field("tail_n", tail_n);
+  w.field("tail_mean_us", tail_mean_us).end_object().field("top", top_segment());
+  w.key("segments").begin_array();
   for (const Row& r : rows) {
-    if (!first) os << ",";
-    first = false;
     const std::int64_t share = sum_us > 0 ? r.total_us * 10000 / sum_us : 0;
-    os << "{\"seg\":\"" << r.seg << "\",\"region\":\"" << region_label(r.region)
-       << "\",\"requests\":" << r.requests << ",\"total_us\":" << r.total_us
-       << ",\"share_x100\":" << share << ",\"mean_us\":" << r.mean_us
-       << ",\"body_mean_us\":" << r.body_mean_us
-       << ",\"tail_mean_us\":" << r.tail_mean_us << "}";
+    w.begin_object().field("seg", r.seg).field("region", region_label(r.region));
+    w.field("requests", r.requests).field("total_us", r.total_us);
+    w.field("share_x100", share).field("mean_us", r.mean_us);
+    w.field("body_mean_us", r.body_mean_us).field("tail_mean_us", r.tail_mean_us);
+    w.end_object();
   }
-  os << "]}}\n";
+  w.end_array().end_object().end_object();
+  os << '\n';
 }
 
-std::string BlameProfile::to_json() const {
-  std::ostringstream ss;
-  to_json(ss);
-  return ss.str();
+bool BlameProfile::from_json(std::string_view json, BlameProfile& out) {
+  util::json::Reader r(json);
+  BlameProfile p;
+  std::string top;        // derived: rows.front().seg
+  std::int64_t share = 0;  // derived: total_us / sum_us
+  const auto segment = [&] {
+    Row& row = p.rows.emplace_back();
+    std::string region;
+    if (!r.fields({"seg", "region", "requests", "total_us", "share_x100", "mean_us",
+                   "body_mean_us", "tail_mean_us"},
+                  row.seg, region, row.requests, row.total_us, share, row.mean_us,
+                  row.body_mean_us, row.tail_mean_us)) {
+      return false;
+    }
+    if (region == "all") return true;  // row.region stays kAllRegions
+    const char* end = region.data() + region.size();
+    const auto [ptr, ec] = std::from_chars(region.data() + 1, end, row.region);
+    return region.size() > 1 && region[0] == 'r' && ec == std::errc{} && ptr == end &&
+           row.region >= 0;
+  };
+  const auto totals = [&] {
+    return r.fields({"sum", "p50", "p99", "p99_9"}, p.sum_us, p.p50_us, p.p99_us, p.p999_us);
+  };
+  const auto cohorts = [&] {
+    return r.fields({"body_n", "body_mean_us", "tail_n", "tail_mean_us"}, p.body_n,
+                    p.body_mean_us, p.tail_n, p.tail_mean_us);
+  };
+  const auto segments = [&] { return r.array(segment); };
+  bool found = false;  // the body is a nested value, so fields() lets it be absent
+  const auto body = [&] {
+    found = true;
+    return r.fields({"requests", "incomplete", "total_us", "cohorts", "top", "segments"},
+                    p.requests, p.incomplete, totals, cohorts, top, segments);
+  };
+  if (!r.fields({"critpath"}, body) || !found || !r.finish()) return false;
+  out = std::move(p);
+  return true;
 }
+
+std::string BlameProfile::to_json() const { return util::json::to_string(*this); }
 
 std::string BlameProfile::to_string() const {
   std::ostringstream os;
@@ -412,28 +449,22 @@ BlameDiff diff_blame(const BlameProfile& a, const BlameProfile& b,
 }
 
 void BlameDiff::to_json(std::ostream& os) const {
-  os << "{\"critpath_diff\":{\"threshold_pct\":" << threshold_pct
-     << ",\"floor_us\":" << floor_us << ",\"a_requests\":" << a_requests
-     << ",\"b_requests\":" << b_requests << ",\"verdict\":\""
-     << (regressed() ? "fail" : "pass") << "\",\"segments\":[";
-  bool first = true;
+  util::json::Writer w(os);
+  w.begin_object().key("critpath_diff").begin_object();
+  w.field("threshold_pct", threshold_pct).field("floor_us", floor_us);
+  w.field("a_requests", a_requests).field("b_requests", b_requests);
+  w.field("verdict", regressed() ? "fail" : "pass").key("segments").begin_array();
   for (const Row& r : rows) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"seg\":\"" << r.seg << "\",\"a_mean_us\":" << r.a_mean_us
-       << ",\"b_mean_us\":" << r.b_mean_us
-       << ",\"a_tail_mean_us\":" << r.a_tail_mean_us
-       << ",\"b_tail_mean_us\":" << r.b_tail_mean_us << ",\"regressed\":"
-       << (r.regressed ? "true" : "false") << "}";
+    w.begin_object().field("seg", r.seg).field("a_mean_us", r.a_mean_us);
+    w.field("b_mean_us", r.b_mean_us).field("a_tail_mean_us", r.a_tail_mean_us);
+    w.field("b_tail_mean_us", r.b_tail_mean_us).field("regressed", r.regressed);
+    w.end_object();
   }
-  os << "]}}\n";
+  w.end_array().end_object().end_object();
+  os << '\n';
 }
 
-std::string BlameDiff::to_json() const {
-  std::ostringstream ss;
-  to_json(ss);
-  return ss.str();
-}
+std::string BlameDiff::to_json() const { return util::json::to_string(*this); }
 
 std::string BlameDiff::to_string() const {
   std::ostringstream os;

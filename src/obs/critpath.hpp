@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/slo.hpp"
@@ -138,6 +139,10 @@ struct BlameProfile {
   /// Byte-stable single-line JSON: {"critpath":{...}}.
   void to_json(std::ostream& os) const;
   std::string to_json() const;
+  /// Reads to_json() output back; false on anything else. Cohort counts are
+  /// recovered, the per-request vectors are not: a read profile aggregates,
+  /// it does not re-analyze.
+  static bool from_json(std::string_view json, BlameProfile& out);
 
   /// Byte-stable human table.
   std::string to_string() const;

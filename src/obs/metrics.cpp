@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace bento::obs {
 
 Registry& registry() {
@@ -170,78 +172,40 @@ std::string Snapshot::to_string() const {
   return os.str();
 }
 
-namespace {
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-}  // namespace
-
 void Snapshot::to_json(std::ostream& os) const {
-  os << "{\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) os << ",";
-    json_escape(os, counters[i].name);
-    os << ":" << counters[i].value;
-  }
-  os << "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) os << ",";
-    const GaugeCell& g = gauges[i];
+  util::json::Writer w(os);
+  w.begin_object().key("counters").begin_object();
+  for (const CounterCell& c : counters) w.field(c.name, c.value);
+  w.end_object().key("gauges").begin_object();
+  for (const GaugeCell& g : gauges) {
     const std::int64_t high =
         g.high_water == std::numeric_limits<std::int64_t>::min() ? 0 : g.high_water;
-    json_escape(os, g.name);
-    os << ":{\"value\":" << g.value << ",\"high_water\":" << high << "}";
+    w.key(g.name).begin_object().field("value", g.value).field("high_water", high);
+    w.end_object();
   }
-  os << "},\"histograms\":{";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    if (i > 0) os << ",";
-    const HistogramCell& h = histograms[i];
-    json_escape(os, h.name);
-    os << ":{\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"min\":" << (h.count > 0 ? h.min : 0)
-       << ",\"max\":" << (h.count > 0 ? h.max : 0) << ",\"buckets\":[";
+  w.end_object().key("histograms").begin_object();
+  for (const HistogramCell& h : histograms) {
+    w.key(h.name).begin_object().field("count", h.count).field("sum", h.sum);
+    w.field("min", h.count > 0 ? h.min : 0).field("max", h.count > 0 ? h.max : 0);
+    w.key("buckets").begin_array();
     for (std::size_t j = 0; j < h.buckets.size(); ++j) {
-      if (j > 0) os << ",";
       // [upper_bound, count]; the final overflow bucket has a null bound.
-      os << "[";
+      w.begin_array();
       if (j < h.bounds.size()) {
-        os << h.bounds[j];
+        w.value(h.bounds[j]);
       } else {
-        os << "null";
+        w.null();
       }
-      os << "," << h.buckets[j] << "]";
+      w.value(h.buckets[j]).end_array();
     }
-    os << "]}";
+    w.end_array().end_object();
   }
-  os << "},\"sections\":[";
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    if (i > 0) os << ",";
-    json_escape(os, sections[i]);
-  }
-  os << "]}\n";
+  w.end_object().key("sections").begin_array();
+  for (const std::string& section : sections) w.value(section);
+  w.end_array().end_object();
+  os << '\n';
 }
 
-std::string Snapshot::to_json() const {
-  std::ostringstream os;
-  to_json(os);
-  return os.str();
-}
+std::string Snapshot::to_json() const { return util::json::to_string(*this); }
 
 }  // namespace bento::obs

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace bento::obs {
 
 namespace {
@@ -182,44 +184,76 @@ std::uint64_t ShardProfileSnapshot::imbalance_x1000() const {
 }
 
 void ShardProfileSnapshot::to_json(std::ostream& os, bool include_wall) const {
-  os << "{\"shard_profile\":{";
-  os << "\"windows\":" << windows << ",\"window_events\":" << window_events
-     << ",\"max_window_events\":" << max_window_events;
-  os << ",\"span_us\":{\"sum\":" << span_sum_us << ",\"min\":" << span_min_us
-     << ",\"max\":" << span_max_us << "}";
-  os << ",\"mailbox\":{\"events\":" << mailbox_events
-     << ",\"depth_high_water\":" << mailbox_depth_hw << "}";
-  os << ",\"exclusive_events\":" << exclusive_events
-     << ",\"lookahead_us\":" << lookahead_us
-     << ",\"imbalance_x1000\":" << imbalance_x1000();
-  os << ",\"regions\":[";
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"id\":" << regions[i].id << ",\"events\":" << regions[i].events
-       << ",\"windows\":" << regions[i].windows << "}";
+  util::json::Writer w(os);
+  w.begin_object().key("shard_profile").begin_object();
+  w.field("windows", windows).field("window_events", window_events);
+  w.field("max_window_events", max_window_events).key("span_us").begin_object();
+  w.field("sum", span_sum_us).field("min", span_min_us).field("max", span_max_us);
+  w.end_object().key("mailbox").begin_object().field("events", mailbox_events);
+  w.field("depth_high_water", mailbox_depth_hw).end_object();
+  w.field("exclusive_events", exclusive_events).field("lookahead_us", lookahead_us);
+  w.field("imbalance_x1000", imbalance_x1000()).key("regions").begin_array();
+  for (const RegionRow& r : regions) {
+    w.begin_object().field("id", r.id).field("events", r.events);
+    w.field("windows", r.windows).end_object();
   }
-  os << "]";
+  w.end_array();
   if (include_wall) {
-    os << ",\"wall\":{\"run_ns\":" << run_wall_ns
-       << ",\"dispatch_ns\":" << dispatch_wall_ns
-       << ",\"barrier_ns\":" << barrier_wall_ns << ",\"drain_ns\":" << drain_wall_ns
-       << ",\"merge_ns\":" << merge_wall_ns
-       << ",\"exclusive_ns\":" << exclusive_wall_ns << ",\"workers\":[";
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "{\"id\":" << workers[i].id << ",\"busy_ns\":" << workers[i].busy_ns
-         << ",\"windows\":" << workers[i].windows
-         << ",\"events\":" << workers[i].events << "}";
+    w.key("wall").begin_object().field("run_ns", run_wall_ns);
+    w.field("dispatch_ns", dispatch_wall_ns).field("barrier_ns", barrier_wall_ns);
+    w.field("drain_ns", drain_wall_ns).field("merge_ns", merge_wall_ns);
+    w.field("exclusive_ns", exclusive_wall_ns).key("workers").begin_array();
+    for (const WorkerRow& r : workers) {
+      w.begin_object().field("id", r.id).field("busy_ns", r.busy_ns);
+      w.field("windows", r.windows).field("events", r.events).end_object();
     }
-    os << "]}";
+    w.end_array().end_object();
   }
-  os << "}}\n";
+  w.end_object().end_object();
+  os << '\n';
+}
+
+bool ShardProfileSnapshot::from_json(std::string_view json, ShardProfileSnapshot& out) {
+  util::json::Reader r(json);
+  ShardProfileSnapshot s;
+  std::uint64_t imbalance = 0;  // derived from the regions
+  const auto region = [&] {
+    RegionRow& row = s.regions.emplace_back();
+    return r.fields({"id", "events", "windows"}, row.id, row.events, row.windows);
+  };
+  const auto worker = [&] {
+    WorkerRow& row = s.workers.emplace_back();
+    return r.fields({"id", "busy_ns", "windows", "events"}, row.id, row.busy_ns,
+                    row.windows, row.events);
+  };
+  const auto span = [&] {
+    return r.fields({"sum", "min", "max"}, s.span_sum_us, s.span_min_us, s.span_max_us);
+  };
+  const auto mailbox = [&] {
+    return r.fields({"events", "depth_high_water"}, s.mailbox_events, s.mailbox_depth_hw);
+  };
+  const auto regions = [&] { return r.array(region); };
+  const auto wall = [&] {
+    return r.fields({"run_ns", "dispatch_ns", "barrier_ns", "drain_ns", "merge_ns",
+                     "exclusive_ns", "workers"},
+                    s.run_wall_ns, s.dispatch_wall_ns, s.barrier_wall_ns, s.drain_wall_ns,
+                    s.merge_wall_ns, s.exclusive_wall_ns, [&] { return r.array(worker); });
+  };
+  bool found = false;  // the body is a nested value, so fields() lets it be absent
+  const auto body = [&] {
+    found = true;
+    return r.fields({"windows", "window_events", "max_window_events", "span_us", "mailbox",
+                     "exclusive_events", "lookahead_us", "imbalance_x1000", "regions", "wall"},
+                    s.windows, s.window_events, s.max_window_events, span, mailbox,
+                    s.exclusive_events, s.lookahead_us, imbalance, regions, wall);
+  };
+  if (!r.fields({"shard_profile"}, body) || !found || !r.finish()) return false;
+  out = std::move(s);
+  return true;
 }
 
 std::string ShardProfileSnapshot::to_json(bool include_wall) const {
-  std::ostringstream os;
-  to_json(os, include_wall);
-  return os.str();
+  return util::json::to_string(*this, include_wall);
 }
 
 std::string ShardProfileSnapshot::to_section() const {

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -105,6 +106,9 @@ struct ShardProfileSnapshot {
   /// for bentotop / stall attribution; that file is not byte-stable.
   void to_json(std::ostream& os, bool include_wall = false) const;
   std::string to_json(bool include_wall = false) const;
+  /// Reads to_json() output back, with or without the wall object. False on
+  /// anything else, including a file that is still being written.
+  static bool from_json(std::string_view json, ShardProfileSnapshot& out);
 
   /// Deterministic text block appended to Snapshot::sections by
   /// World::snapshot_stats (the `ShardProfile` section of stats dumps).

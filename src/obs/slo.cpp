@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
 
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace bento::obs {
 
@@ -25,29 +25,6 @@ const char* agg_token(SloSpec::Agg agg) {
   return "";
 }
 
-// Byte-stable numeric rendering: integers print bare, everything else with
-// exactly three fixed decimals. Inputs are deterministic sim-domain values,
-// so identical runs format identically.
-void fmt_num(std::ostream& os, double v) {
-  const double r = std::floor(v);
-  if (r == v && std::abs(v) < 9.0e15) {
-    os << static_cast<std::int64_t>(v);
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  os << buf;
-}
-
-void json_str(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 std::string SloSpec::name() const {
@@ -57,7 +34,7 @@ std::string SloSpec::name() const {
   if (agg == Agg::Percentile) {
     // p99 / p99.9: strip a trailing ".0" so whole percentiles stay short.
     std::ostringstream p;
-    fmt_num(p, pct);
+    util::json::write_number(p, pct);
     std::string t = p.str();
     const std::size_t dot = t.find('.');
     if (dot != std::string::npos) {
@@ -93,6 +70,7 @@ bool parse_slo_spec(std::string_view text, SloSpec& out, std::string* err) {
   const std::string rhs_s(rhs);
   spec.target = std::strtod(rhs_s.c_str(), &end);
   if (end == rhs_s.c_str() || *end != '\0') return fail("bad target number");
+  if (!std::isfinite(spec.target)) return fail("target must be finite");
 
   const std::size_t colon = lhs.find(':');
   if (colon == std::string_view::npos) {
@@ -114,7 +92,7 @@ bool parse_slo_spec(std::string_view text, SloSpec& out, std::string* err) {
       const std::string p_s(agg.substr(1));
       spec.pct = std::strtod(p_s.c_str(), &end);
       if (end == p_s.c_str() || *end != '\0') return fail("bad percentile");
-      if (spec.pct <= 0 || spec.pct > 100) return fail("percentile out of (0,100]");
+      if (!(spec.pct > 0 && spec.pct <= 100)) return fail("percentile out of (0,100]");
       spec.agg = SloSpec::Agg::Percentile;
     } else {
       return fail("unknown aggregator");
@@ -213,33 +191,25 @@ bool SloReport::pass() const {
 }
 
 void SloReport::to_json(std::ostream& os) const {
-  os << "{\"scenario\":";
-  json_str(os, scenario);
-  os << ",\"verdict\":\"" << (pass() ? "pass" : "fail") << "\",\"objectives\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i > 0) os << ",";
-    const SloResult& r = results[i];
-    os << "{\"name\":";
-    json_str(os, r.spec.name());
-    os << ",\"op\":\"" << (r.spec.op == SloSpec::Op::Le ? "<=" : ">=")
-       << "\",\"target\":";
-    fmt_num(os, r.spec.target);
-    os << ",\"actual\":";
+  util::json::Writer w(os);
+  w.begin_object().field("scenario", scenario).field("verdict", pass() ? "pass" : "fail");
+  w.key("objectives").begin_array();
+  for (const SloResult& r : results) {
+    w.begin_object().field("name", r.spec.name());
+    w.field("op", r.spec.op == SloSpec::Op::Le ? "<=" : ">=").field("target", r.spec.target);
+    w.key("actual");
     if (r.missing) {
-      os << "null";
+      w.null();
     } else {
-      fmt_num(os, r.actual);
+      w.value(r.actual);
     }
-    os << ",\"pass\":" << (r.ok ? "true" : "false") << "}";
+    w.field("pass", r.ok).end_object();
   }
-  os << "]}\n";
+  w.end_array().end_object();
+  os << '\n';
 }
 
-std::string SloReport::to_json() const {
-  std::ostringstream os;
-  to_json(os);
-  return os.str();
-}
+std::string SloReport::to_json() const { return util::json::to_string(*this); }
 
 std::string SloReport::to_string() const {
   std::ostringstream os;
@@ -247,12 +217,12 @@ std::string SloReport::to_string() const {
   for (const SloResult& r : results) {
     os << "  [" << (r.ok ? "ok  " : "FAIL") << "] " << r.spec.name() << " "
        << (r.spec.op == SloSpec::Op::Le ? "<=" : ">=") << " ";
-    fmt_num(os, r.spec.target);
+    util::json::write_number(os, r.spec.target);
     os << "  actual ";
     if (r.missing) {
       os << "(no data)";
     } else {
-      fmt_num(os, r.actual);
+      util::json::write_number(os, r.actual);
     }
     os << "\n";
   }

@@ -1,7 +1,10 @@
 #include "obs/trace.hpp"
 
+#include <istream>
 #include <ostream>
 #include <string_view>
+
+#include "util/json.hpp"
 
 namespace bento::obs {
 
@@ -176,30 +179,67 @@ std::vector<TraceEvent> Recorder::events() const {
 }
 
 void Recorder::export_chrome_trace(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   static const char* kLaneNames[] = {"sim", "tor", "bento"};
+  util::json::Writer w(os);
+  w.begin_object().field("displayTimeUnit", "ms").key("traceEvents").begin_array(true);
   for (int lane = 0; lane < 3; ++lane) {
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << lane
-       << ",\"args\":{\"name\":\"" << kLaneNames[lane] << "\"}},\n";
+    w.begin_object().field("name", "thread_name").field("ph", "M").field("pid", 1);
+    w.field("tid", lane).key("args").begin_object().field("name", kLaneNames[lane]);
+    w.end_object().end_object();
   }
-  bool first = true;
-  for_each([&](const TraceEvent& e) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "{\"name\":\"" << ev_name(e.kind) << "\",\"ph\":\"i\",\"s\":\"t\""
-       << ",\"pid\":1,\"tid\":" << lane_of(e.kind) << ",\"ts\":" << e.ts_us
-       << ",\"args\":{\"a\":" << e.a << ",\"b\":" << e.b
-       << ",\"ok\":" << (e.flags & 1 ? "true" : "false") << "}}";
+  for_each([&w](const TraceEvent& e) {
+    w.begin_object().field("name", ev_name(e.kind)).field("ph", "i").field("s", "t");
+    w.field("pid", 1).field("tid", lane_of(e.kind)).field("ts", e.ts_us);
+    w.key("args").begin_object().field("a", e.a).field("b", e.b);
+    w.field("ok", (e.flags & 1) != 0).end_object().end_object();
   });
-  os << "\n]}\n";
+  w.end_array().end_object();
+  os << '\n';
 }
 
 void Recorder::export_jsonl(std::ostream& os) const {
   for_each([&os](const TraceEvent& e) {
-    os << "{\"ts\":" << e.ts_us << ",\"ev\":\"" << ev_name(e.kind)
-       << "\",\"a\":" << e.a << ",\"b\":" << e.b
-       << ",\"ok\":" << (e.flags & 1 ? 1 : 0) << "}\n";
+    util::json::Writer w(os);
+    w.begin_object().field("ts", e.ts_us).field("ev", ev_name(e.kind)).field("a", e.a);
+    w.field("b", e.b).field("ok", e.flags & 1).end_object();
+    os << '\n';
   });
+}
+
+namespace {
+
+// Fills `ev` in place, so read_jsonl moves no event.
+bool parse_line(std::string_view line, RawEvent& ev) {
+  util::json::Reader r(line);
+  int ok = 0;
+  if (!r.fields({"ts", "ev", "a", "b", "ok"}, ev.ts, ev.ev, ev.a, ev.b, ok) ||
+      !r.finish()) {
+    return false;
+  }
+  ev.ok = ok != 0;
+  return true;
+}
+
+}  // namespace
+
+std::optional<RawEvent> parse_jsonl_line(std::string_view line) {
+  RawEvent ev;
+  if (!parse_line(line, ev)) return std::nullopt;
+  return ev;
+}
+
+std::vector<RawEvent> read_jsonl(std::istream& is) {
+  std::vector<RawEvent> out;
+  std::string line;
+  while (std::getline(is, line)) {
+    RawEvent& ev = out.emplace_back();
+    if (line.empty()) {
+      out.pop_back();
+    } else if (!parse_line(line, ev)) {
+      ev = RawEvent{.ev = "!unparsed"};
+    }
+  }
+  return out;
 }
 
 }  // namespace bento::obs

@@ -29,6 +29,9 @@
 #include <cstdint>
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -79,6 +82,23 @@ const char* ev_name(Ev kind);
 /// Startup self-check: true iff every kind below kCount resolves to a real
 /// name. Catches silent enum drift (a kind added without an ev_name entry).
 bool ev_names_complete();
+
+/// One line of Recorder::export_jsonl, as read back by offline tools.
+struct RawEvent {
+  std::int64_t ts = 0;
+  std::string ev;
+  std::uint32_t a = 0;
+  std::uint64_t b = 0;
+  bool ok = true;
+};
+
+/// Parses one export_jsonl line; nullopt for a blank line or anything but
+/// one object with exactly the keys ts, ev, a, b and ok.
+std::optional<RawEvent> parse_jsonl_line(std::string_view line);
+
+/// Parses a whole dump. A non-blank line that does not parse becomes a
+/// tombstone named "!unparsed", so readers can count it.
+std::vector<RawEvent> read_jsonl(std::istream& is);
 
 struct TraceEvent {
   std::int64_t ts_us;

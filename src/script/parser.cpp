@@ -42,9 +42,29 @@ class Parser {
     while (at(TokenType::Newline)) ++pos_;
   }
 
+  // Held by every production that can recurse (statements, hence blocks;
+  // expressions; unary operators; elif chains), so any nesting, however it
+  // is spelled, counts against one bound.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxNestingDepth) {
+        throw SyntaxError("nesting deeper than " + std::to_string(kMaxNestingDepth),
+                          p_.peek().line);
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   // ---- statements ----
 
   StmtPtr statement() {
+    const Nest nest(*this);
     switch (peek().type) {
       case TokenType::KwDef: return def_statement();
       case TokenType::KwIf: return if_statement();
@@ -127,6 +147,7 @@ class Parser {
 
   StmtPtr if_statement_from_elif() {
     // Current token is KwElif; treat it as a nested if.
+    const Nest nest(*this);
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::If;
     stmt->line = advance().line;
@@ -190,7 +211,10 @@ class Parser {
 
   // ---- expressions (precedence climbing) ----
 
-  ExprPtr expression() { return or_expr(); }
+  ExprPtr expression() {
+    const Nest nest(*this);
+    return or_expr();
+  }
 
   ExprPtr make_binary(TokenType op, int line, ExprPtr a, ExprPtr b) {
     auto e = std::make_unique<Expr>();
@@ -222,6 +246,7 @@ class Parser {
 
   ExprPtr not_expr() {
     if (at(TokenType::KwNot)) {
+      const Nest nest(*this);
       const int line = advance().line;
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Unary;
@@ -264,6 +289,7 @@ class Parser {
 
   ExprPtr unary() {
     if (at(TokenType::Minus)) {
+      const Nest nest(*this);
       const int line = advance().line;
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::Unary;
@@ -388,6 +414,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

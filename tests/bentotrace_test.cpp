@@ -22,7 +22,7 @@ namespace bt = bento::tools;
 namespace bu = bento::util;
 
 TEST(BentotraceReader, ParsesExporterLines) {
-  auto ev = bt::parse_jsonl_line(
+  auto ev = bo::parse_jsonl_line(
       R"({"ts":1234,"ev":"span.begin","a":7,"b":12884901890,"ok":1})");
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->ts, 1234);
@@ -31,25 +31,25 @@ TEST(BentotraceReader, ParsesExporterLines) {
   EXPECT_EQ(ev->b, 12884901890ull);
   EXPECT_TRUE(ev->ok);
 
-  auto failed = bt::parse_jsonl_line(
+  auto failed = bo::parse_jsonl_line(
       R"({"ts":-1,"ev":"span.end","a":1,"b":4,"ok":0})");
   ASSERT_TRUE(failed.has_value());
   EXPECT_EQ(failed->ts, -1);
   EXPECT_FALSE(failed->ok);
 
-  EXPECT_FALSE(bt::parse_jsonl_line("").has_value());
-  EXPECT_FALSE(bt::parse_jsonl_line("not json").has_value());
-  EXPECT_FALSE(bt::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2})").has_value());
+  EXPECT_FALSE(bo::parse_jsonl_line("").has_value());
+  EXPECT_FALSE(bo::parse_jsonl_line("not json").has_value());
+  EXPECT_FALSE(bo::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2})").has_value());
   EXPECT_FALSE(
-      bt::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2,"b":3,"ok":1} trailing)")
+      bo::parse_jsonl_line(R"({"ts":1,"ev":"x","a":2,"b":3,"ok":1} trailing)")
           .has_value());
 }
 
 namespace {
 
-bt::RawEvent raw(std::int64_t ts, const char* ev, std::uint32_t a,
+bo::RawEvent raw(std::int64_t ts, const char* ev, std::uint32_t a,
                  std::uint64_t b, bool ok = true) {
-  bt::RawEvent e;
+  bo::RawEvent e;
   e.ts = ts;
   e.ev = ev;
   e.a = a;
@@ -66,7 +66,7 @@ std::uint64_t begin_b(std::uint32_t parent, bo::Stage stage) {
 }  // namespace
 
 TEST(BentotraceReader, BuildsForestWithParentLinks) {
-  std::vector<bt::RawEvent> events = {
+  std::vector<bo::RawEvent> events = {
       raw(0, "span.begin", 1, begin_b(0, bo::Stage::ClientInvoke)),
       raw(5, "span.begin", 2, begin_b(1, bo::Stage::NetLink)),
       raw(5, "span.note", 2,
@@ -91,7 +91,7 @@ TEST(BentotraceReader, BuildsForestWithParentLinks) {
 }
 
 TEST(BentotraceReader, OrphanEndAndUnfinishedSpanAreReported) {
-  std::vector<bt::RawEvent> events = {
+  std::vector<bo::RawEvent> events = {
       // End whose begin was overwritten by ring wraparound: stage comes
       // from the end event itself.
       raw(100, "span.end", 9, static_cast<std::uint64_t>(bo::Stage::NetLink)),
@@ -195,7 +195,7 @@ ScenarioResult run_conclave_scenario() {
   bo::recorder().disable();
 
   std::istringstream in(result.jsonl);
-  result.forest = bt::build_forest(bt::read_jsonl(in));
+  result.forest = bt::build_forest(bo::read_jsonl(in));
   std::ostringstream tree;
   bt::format_tree(result.forest, tree);
   result.tree = tree.str();
@@ -313,7 +313,7 @@ TEST(BentotraceE2E, StemMediationSpansAppearForHiddenServiceFunctions) {
   bo::recorder().set_mask(bo::Recorder::mask_all());
 
   std::istringstream in(jsonl);
-  const bt::TraceForest forest = bt::build_forest(bt::read_jsonl(in));
+  const bt::TraceForest forest = bt::build_forest(bo::read_jsonl(in));
   std::size_t mediations = 0;
   for (const auto& [id, node] : forest.spans) {
     if (node.stage != bo::Stage::StemMediate) continue;
@@ -378,7 +378,7 @@ TEST(BentotraceE2E, MidRequestTeardownLeavesReportedOrphanSpan) {
   bo::recorder().disable();
 
   std::istringstream in(jsonl);
-  const bt::TraceForest forest = bt::build_forest(bt::read_jsonl(in));
+  const bt::TraceForest forest = bt::build_forest(bo::read_jsonl(in));
   bool orphaned_invoke = false;
   for (const auto& [id, node] : forest.spans) {
     if (node.stage != bo::Stage::ClientInvoke) continue;

@@ -242,6 +242,27 @@ TEST(BentoE2E, SyntaxErrorFailsUpload) {
   EXPECT_FALSE(s.error.empty());
 }
 
+TEST(BentoE2E, DeeplyNestedUploadIsRefusedAndTheBoxKeepsServing) {
+  // 20,000 nested parentheses used to overflow the stack in script::parse
+  // and take the whole box down.
+  bc::BentoWorld world;
+  world.start();
+  auto client = world.make_client("alice");
+  auto boxes = bc::BentoClient::find_boxes(world.bed().consensus());
+  auto bad = establish(world, client, boxes[1], bc::kImagePython,
+                       "x = " + std::string(20'000, '(') + "1" +
+                           std::string(20'000, ')') + "\n");
+  EXPECT_FALSE(bad.tokens.has_value());
+  EXPECT_NE(bad.error.find("nesting deeper than"), std::string::npos) << bad.error;
+
+  auto good = establish(world, client, boxes[1], bc::kImagePython, kEchoSource);
+  ASSERT_TRUE(good.tokens.has_value()) << good.error;
+  good.conn->invoke(good.tokens->invocation.bytes(), bu::to_bytes("still here"));
+  world.run();
+  ASSERT_EQ(good.outputs.size(), 1u);
+  EXPECT_EQ(bu::to_string(good.outputs[0]), "echo: still here");
+}
+
 TEST(BentoE2E, EnforceModeRejectsManifestUnderstatingFunction) {
   // Under VerifyMode::Enforce the static verifier refuses the upload before
   // the container ever runs — with a line-numbered reason naming the

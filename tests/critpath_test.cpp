@@ -374,7 +374,7 @@ LoopCapture run_loop(std::uint64_t seed, unsigned shards, int sessions,
   bo::recorder().disable();
 
   std::istringstream in(cap.jsonl);
-  const std::vector<bt::RawEvent> events = bt::read_jsonl(in);
+  const std::vector<bo::RawEvent> events = bo::read_jsonl(in);
   cap.report = bo::compute_critical_paths(bt::crit_input_from_events(events));
   const bo::BlameProfile profile = bo::aggregate_blame(cap.report);
   cap.critpath_text = profile.to_string();
@@ -429,7 +429,7 @@ TEST(CritPathE2E, ByteIdenticalAcrossShardCountsAndSumsToMeasuredLatency) {
 TEST(CritPathE2E, ProfileJsonRoundTripsAndDiffsCleanAgainstItself) {
   const LoopCapture cap = run_loop(41, 2, 12, 3, 30'000, nullptr);
   bo::BlameProfile parsed;
-  ASSERT_TRUE(bt::parse_blame_profile(cap.critpath_json, parsed));
+  ASSERT_TRUE(bo::BlameProfile::from_json(cap.critpath_json, parsed));
   EXPECT_EQ(parsed.to_json(), cap.critpath_json);
 
   // A profile diffed against itself must be all-quiet...

@@ -18,6 +18,7 @@
 #include "obs/slo.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/json.hpp"
 
 namespace bo = bento::obs;
 namespace bs = bento::sim;
@@ -139,7 +140,7 @@ TEST(ShardProfile, JsonRoundTripsThroughParser) {
   const RunCapture cap = run_profiled(29, 2);
   // Deterministic half only.
   bo::ShardProfileSnapshot parsed;
-  ASSERT_TRUE(bt::parse_shard_profile(cap.profile_json, parsed));
+  ASSERT_TRUE(bo::ShardProfileSnapshot::from_json(cap.profile_json, parsed));
   EXPECT_EQ(parsed.to_json(), cap.profile_json);
   EXPECT_EQ(parsed.run_wall_ns, 0u);
   EXPECT_TRUE(parsed.workers.empty());
@@ -147,15 +148,15 @@ TEST(ShardProfile, JsonRoundTripsThroughParser) {
   const bo::ShardProfileSnapshot live = bo::shard_profiler().snapshot();
   const std::string wall_json = live.to_json(/*include_wall=*/true);
   bo::ShardProfileSnapshot wall;
-  ASSERT_TRUE(bt::parse_shard_profile(wall_json, wall));
+  ASSERT_TRUE(bo::ShardProfileSnapshot::from_json(wall_json, wall));
   EXPECT_EQ(wall.windows, live.windows);
   EXPECT_EQ(wall.run_wall_ns, live.run_wall_ns);
   EXPECT_EQ(wall.barrier_wall_ns, live.barrier_wall_ns);
   EXPECT_EQ(wall.workers.size(), live.workers.size());
 
   bo::ShardProfileSnapshot junk;
-  EXPECT_FALSE(bt::parse_shard_profile("{\"not_a_profile\":1}", junk));
-  EXPECT_FALSE(bt::parse_shard_profile("", junk));
+  EXPECT_FALSE(bo::ShardProfileSnapshot::from_json("{\"not_a_profile\":1}", junk));
+  EXPECT_FALSE(bo::ShardProfileSnapshot::from_json("", junk));
 }
 
 TEST(Slo, SpecGrammarParses) {
@@ -247,6 +248,51 @@ TEST(Slo, SpecGrammarRejectsGarbage) {
   EXPECT_FALSE(bo::parse_slo_spec("x:p99<= 5 ", s, &err));
 }
 
+TEST(Slo, NonFiniteTargetsAndPercentilesAreRejected) {
+  // strtod takes inf and nan, which no JSON verdict could print.
+  bo::SloSpec s;
+  std::string err;
+  for (const char* spec : {"x<=inf", "x>=-inf", "x:p99<=nan", "x:max<=INFINITY",
+                           "x:pnan<=1", "x:pinf<=1"}) {
+    EXPECT_FALSE(bo::parse_slo_spec(spec, s, &err)) << spec;
+  }
+  EXPECT_NE(err.find("percentile"), std::string::npos) << err;
+  EXPECT_FALSE(bo::parse_slo_spec("x<=inf", s, &err));
+  EXPECT_NE(err.find("finite"), std::string::npos) << err;
+}
+
+TEST(Slo, ReportJsonRoundTripsHostileNamesThroughTheCodec) {
+  const std::string metric = "we\"ird\\na\nme\x01";
+  bo::SloSpec spec;
+  ASSERT_TRUE(bo::parse_slo_spec(metric + "<=2.5", spec));
+  bo::SloInput input;
+  input.set_scalar(metric, 1.25);
+  const bo::SloReport report = bo::evaluate_slos("scen\"ario\n", {spec}, input);
+  const std::string json = report.to_json();
+  ASSERT_TRUE(bento::util::json::valid(json)) << json;
+
+  bento::util::json::Reader r(json);
+  std::string scenario, verdict, name, op;
+  double target = 0;
+  double actual = 0;
+  bool pass = false;
+  const auto objective = [&] {
+    return r.fields({"name", "op", "target", "actual", "pass"}, name, op, target, actual,
+                    pass);
+  };
+  ASSERT_TRUE(r.fields({"scenario", "verdict", "objectives"}, scenario, verdict,
+                       [&] { return r.array(objective); }) &&
+              r.finish());
+  EXPECT_EQ(scenario, report.scenario);
+  EXPECT_EQ(name, spec.name());
+  EXPECT_EQ(name, metric);
+  EXPECT_EQ(verdict, "pass");
+  EXPECT_EQ(op, "<=");
+  EXPECT_DOUBLE_EQ(target, 2.5);
+  EXPECT_DOUBLE_EQ(actual, 1.25);
+  EXPECT_TRUE(pass);
+}
+
 TEST(Slo, MissingMetricFailsTheRun) {
   bo::SloInput input;
   input.add_sample("ttfb_us", 100);
@@ -282,14 +328,14 @@ TEST(Slo, ReportJsonIsByteStable) {
 
 TEST(Slo, TraceEventsFeedTheEngine) {
   // Synthetic trace: 4 TTFB samples, two shard windows, one barrier.
-  std::vector<bt::RawEvent> events;
+  std::vector<bo::RawEvent> events;
   for (std::int64_t us : {100, 200, 300, 400}) {
-    events.push_back(bt::RawEvent{.ts = us, .ev = "stream.ttfb", .a = 1,
+    events.push_back(bo::RawEvent{.ts = us, .ev = "stream.ttfb", .a = 1,
                                   .b = static_cast<std::uint64_t>(us), .ok = 1});
   }
-  events.push_back(bt::RawEvent{.ts = 1, .ev = "shard.window", .a = 0, .b = 30, .ok = 1});
-  events.push_back(bt::RawEvent{.ts = 1, .ev = "shard.window", .a = 1, .b = 10, .ok = 1});
-  events.push_back(bt::RawEvent{.ts = 1, .ev = "shard.barrier", .a = 2, .b = 40'000, .ok = 1});
+  events.push_back(bo::RawEvent{.ts = 1, .ev = "shard.window", .a = 0, .b = 30, .ok = 1});
+  events.push_back(bo::RawEvent{.ts = 1, .ev = "shard.window", .a = 1, .b = 10, .ok = 1});
+  events.push_back(bo::RawEvent{.ts = 1, .ev = "shard.barrier", .a = 2, .b = 40'000, .ok = 1});
   std::vector<bo::SloSpec> specs(3);
   ASSERT_TRUE(bo::parse_slo_spec("ttfb_us:count>=4", specs[0]));
   ASSERT_TRUE(bo::parse_slo_spec("windows>=1", specs[1]));

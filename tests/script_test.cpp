@@ -63,6 +63,59 @@ TEST(ScriptLexer, Errors) {
   EXPECT_THROW(sc::tokenize("if x:\n    a = 1\n  b = 2\n"), sc::SyntaxError);
 }
 
+// ---- hostile nesting: uploads come from anonymous clients ----
+
+namespace {
+/// Parses `src` and returns the SyntaxError message ("" when it parses).
+std::string parse_error(const std::string& src) {
+  try {
+    sc::parse(src);
+  } catch (const sc::SyntaxError& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
+TEST(ScriptParser, MillionDeepParenthesesAreASyntaxError) {
+  // 20,000 levels used to overflow the stack.
+  const std::string err = parse_error("x = " + std::string(1'000'000, '(') + "1\n");
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+}
+
+TEST(ScriptParser, MillionDeepUnaryOperatorsAreASyntaxError) {
+  std::string err = parse_error("x = " + std::string(1'000'000, '-') + "1\n");
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+  std::string nots;
+  for (int i = 0; i < 1'000'000; ++i) nots += "not ";
+  err = parse_error("x = " + nots + "True\n");
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+}
+
+TEST(ScriptParser, DeepBlocksAndElifChainsCountTowardTheBound) {
+  std::string blocks;
+  for (int d = 0; d <= sc::kMaxNestingDepth; ++d) {
+    blocks += std::string(static_cast<std::size_t>(d), ' ') + "if True:\n";
+  }
+  blocks += std::string(static_cast<std::size_t>(sc::kMaxNestingDepth) + 1, ' ') + "pass\n";
+  EXPECT_NE(parse_error(blocks).find("nesting deeper than"), std::string::npos);
+
+  std::string chain = "if x == 0:\n    pass\n";
+  for (int i = 1; i <= sc::kMaxNestingDepth; ++i) {
+    chain += "elif x == " + std::to_string(i) + ":\n    pass\n";
+  }
+  EXPECT_NE(parse_error(chain).find("nesting deeper than"), std::string::npos);
+}
+
+TEST(ScriptParser, NestingWithinTheBoundStillRuns) {
+  const int depth = sc::kMaxNestingDepth / 4;
+  const std::string parens = std::string(static_cast<std::size_t>(depth), '(') + "2" +
+                             std::string(static_cast<std::size_t>(depth), ')');
+  auto interp = run_program("x = -" + parens + "\ny = not not True\n");
+  EXPECT_EQ(interp->global("x").as_int(), -2);
+  EXPECT_TRUE(interp->global("y").as_bool());
+}
+
 TEST(ScriptLexer, MultilineParens) {
   auto interp = run_program("x = (1 +\n     2 +\n     3)\n");
   EXPECT_EQ(interp->global("x").as_int(), 6);

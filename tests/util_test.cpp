@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 #include "util/time.hpp"
@@ -192,4 +195,122 @@ TEST(Time, Arithmetic) {
   EXPECT_DOUBLE_EQ((t - Time::from_micros(0)).to_seconds(), 2.0);
   EXPECT_LT(Time::from_seconds(1), Time::from_seconds(2));
   EXPECT_EQ((Duration::seconds(2) * 0.5).count_micros(), 1'000'000);
+}
+
+// ---- util/json: the telemetry codec ----
+
+namespace {
+/// One object {"s": value} written by the Writer.
+std::string json_doc(std::string_view value) {
+  std::ostringstream os;
+  bu::json::Writer(os).begin_object().field("s", value).end_object();
+  return os.str();
+}
+}  // namespace
+
+TEST(Json, EveryControlCharacterRoundTrips) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all += static_cast<char>(c);
+  all += "\"\\/ plain \x7f caf\xc3\xa9";
+  const std::string doc = json_doc(all);
+  EXPECT_NE(doc.find(R"(\u0000\u0001)"), std::string::npos) << doc;
+  EXPECT_NE(doc.find(R"(\u0008\t\n\u000b\u000c\r)"), std::string::npos) << doc;
+  std::string back;
+  bu::json::Reader r(doc);
+  ASSERT_TRUE(r.fields({"s"}, back) && r.finish()) << doc;
+  EXPECT_EQ(back, all);
+}
+
+TEST(Json, ReaderDecodesEveryEscape) {
+  std::string s;
+  bu::json::Reader r(R"({"s":"\"\\\/\b\f\n\r\t\u0041\u00e9\u20ac\ud83d\ude00"})");
+  ASSERT_TRUE(r.fields({"s"}, s) && r.finish());
+  EXPECT_EQ(s, "\"\\/\b\f\n\r\tA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  for (const char* bad : {R"(["\x"])", R"(["\u12"])", R"(["\ud83d"])", R"(["\ude00"])",
+                          "[\"\x01\"]", "[\"\xc0\xaf\"]", "[\"\xed\xa0\x80\"]", "[\"\xff\"]"}) {
+    EXPECT_FALSE(bu::json::valid(bad)) << bad;
+  }
+}
+
+TEST(Json, IntegerExtremesRoundTrip) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  std::ostringstream os;
+  bu::json::Writer(os).begin_object().field("i", kMin).field("u", kMax).end_object();
+  const std::string doc = os.str();
+  EXPECT_EQ(doc, R"({"i":-9223372036854775808,"u":18446744073709551615})");
+  std::int64_t i = 0;
+  std::uint64_t u = 0;
+  bu::json::Reader r(doc);
+  ASSERT_TRUE(r.fields({"i", "u"}, i, u) && r.finish());
+  EXPECT_EQ(i, kMin);
+  EXPECT_EQ(u, kMax);
+
+  const auto read_u64 = [](std::string_view doc) {
+    std::uint64_t v = 0;
+    bu::json::Reader rd(doc);
+    return rd.fields({"u"}, v) && rd.finish();
+  };
+  EXPECT_FALSE(read_u64(R"({"u":-1})"));                    // negative, unsigned field
+  EXPECT_FALSE(read_u64(R"({"u":18446744073709551616})"));  // one past the top
+  EXPECT_FALSE(read_u64(R"({"u":1.5})"));
+  EXPECT_FALSE(read_u64(R"({"u":1e3})"));
+  EXPECT_FALSE(read_u64(R"({"u":01})"));
+  EXPECT_TRUE(read_u64(R"( { "u" : 0 } )"));
+  std::uint32_t narrow = 0;
+  bu::json::Reader r32(R"({"a":4294967296})");
+  EXPECT_FALSE(r32.fields({"a"}, narrow));
+}
+
+TEST(Json, TruncatedInputAndTrailingGarbageAreRefused) {
+  const std::string doc = R"({"ts":1,"ev":"span.begin","a":7,"b":3,"ok":1})";
+  ASSERT_TRUE(bu::json::valid(doc));
+  for (std::size_t n = 0; n < doc.size(); ++n) {
+    EXPECT_FALSE(bu::json::valid(doc.substr(0, n))) << n;
+  }
+  for (const char* tail : {"x", "}", ",", " 1", "{}", "\"\""}) {
+    EXPECT_FALSE(bu::json::valid(doc + tail)) << tail;
+  }
+  EXPECT_TRUE(bu::json::valid(doc + " \n\t\r"));
+  for (const char* bad : {"", "[1,]", "{\"a\":1,}", "{\"a\" 1}", "[1 2]", "nul", "tru", "-",
+                          "1.", ".5", "1e", "+1", "{a:1}", "['a']", "[1]]"}) {
+    EXPECT_FALSE(bu::json::valid(bad)) << bad;
+  }
+  for (const char* good : {"0", "-0.5e+3", "\"\"", "[]", "{}", "[true,false,null]",
+                           R"({"a":[{"b":{}}],"c":"d"})"}) {
+    EXPECT_TRUE(bu::json::valid(good)) << good;
+  }
+}
+
+TEST(Json, FieldsWantsEveryScalarMemberAndNoOther) {
+  int a = 0;
+  int b = 0;
+  bu::json::Reader missing(R"({"a":1})");
+  EXPECT_FALSE(missing.fields({"a", "b"}, a, b));
+  bu::json::Reader extra(R"({"a":1,"b":2,"c":3})");
+  EXPECT_FALSE(extra.fields({"a", "b"}, a, b));
+  bu::json::Reader reordered(R"({"b":2,"a":1})");
+  ASSERT_TRUE(reordered.fields({"a", "b"}, a, b) && reordered.finish());
+  EXPECT_EQ(a * 10 + b, 12);
+}
+
+TEST(Json, MillionDeepNestingIsRefusedWithoutRecursion) {
+  EXPECT_FALSE(bu::json::valid(std::string(1'000'000, '[')));
+  EXPECT_FALSE(bu::json::valid(std::string(1'000'000, '[') + std::string(1'000'000, ']')));
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += R"({"k":)";
+  EXPECT_FALSE(bu::json::valid(objects));
+  const std::string at_limit = std::string(bu::json::kMaxDepth, '[') +
+                               std::string(bu::json::kMaxDepth, ']');
+  EXPECT_TRUE(bu::json::valid(at_limit));
+  EXPECT_FALSE(bu::json::valid("[" + at_limit + "]"));
+}
+
+TEST(Json, WriterPlacesCommasAndLineBreaks) {
+  std::ostringstream os;
+  bu::json::Writer w(os);
+  w.begin_object().field("n", 2.5).field("i", 3.0).field("x", 1.0 / 0.0).key("e");
+  w.begin_array(/*lines=*/true).begin_array().end_array().value(true).null().end_array();
+  w.key("o").begin_object().end_object().end_object();
+  EXPECT_EQ(os.str(), "{\"n\":2.500,\"i\":3,\"x\":null,\"e\":[\n[],\ntrue,\nnull\n],\"o\":{}}");
 }

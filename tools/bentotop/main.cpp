@@ -19,7 +19,6 @@
 #include <string>
 #include <thread>
 
-#include "bentotrace/shards.hpp"
 #include "obs/profile.hpp"
 
 namespace {
@@ -35,11 +34,7 @@ bool load_frame(const std::string& path, bento::obs::ShardProfileSnapshot& out) 
   if (!in) return false;
   std::ostringstream ss;
   ss << in.rdbuf();
-  const std::string text = std::move(ss).str();
-  bento::obs::ShardProfileSnapshot snap;
-  if (!bento::tools::parse_shard_profile(text, snap)) return false;
-  out = std::move(snap);
-  return true;
+  return bento::obs::ShardProfileSnapshot::from_json(std::move(ss).str(), out);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 #include "bentotrace/critpath.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <sstream>
 #include <string>
 
-#include "bentotrace/textutil.hpp"
-
 namespace bento::tools {
 
-obs::CritInput crit_input_from_events(const std::vector<RawEvent>& events) {
+obs::CritInput crit_input_from_events(const std::vector<obs::RawEvent>& events) {
   obs::CritInput input;
   const TraceForest forest = build_forest(events);
   input.spans.reserve(forest.spans.size());
@@ -25,77 +23,20 @@ obs::CritInput crit_input_from_events(const std::vector<RawEvent>& events) {
     s.chaos_us = node.chaos_us;
     input.spans.push_back(s);
   }
-  for (const RawEvent& e : events) {
+  for (const obs::RawEvent& e : events) {
     if (e.ev == "shard.barrier") input.barriers_us.push_back(e.ts);
   }
   return input;
 }
 
-bool looks_like_blame_profile(std::string_view text) {
-  return text.find("{\"critpath\":{") != std::string_view::npos;
-}
-
-bool parse_blame_profile(std::string_view json, obs::BlameProfile& out) {
-  const std::size_t at = json.find("{\"critpath\":{");
-  if (at == std::string_view::npos) return false;
-  std::string_view body = json.substr(at);
-  if (!find_int(body, "\"requests\":", out.requests) ||
-      !find_int(body, "\"incomplete\":", out.incomplete) ||
-      !find_int(body, "\"total_us\":{\"sum\":", out.sum_us) ||
-      !find_int(body, "\"p50\":", out.p50_us) ||
-      !find_int(body, "\"p99\":", out.p99_us) ||
-      !find_int(body, "\"p99_9\":", out.p999_us) ||
-      !find_int(body, "\"body_n\":", out.body_n) ||
-      !find_int(body, "\"body_mean_us\":", out.body_mean_us) ||
-      !find_int(body, "\"tail_n\":", out.tail_n) ||
-      !find_int(body, "\"tail_mean_us\":", out.tail_mean_us)) {
-    return false;
-  }
-  out.rows.clear();
-  for (std::string_view obj : array_objects(body, "\"segments\":[")) {
-    obs::BlameProfile::Row row;
-    std::string region;
-    if (!find_str(obj, "\"seg\":", row.seg) ||
-        !find_str(obj, "\"region\":", region) ||
-        !find_int(obj, "\"requests\":", row.requests) ||
-        !find_int(obj, "\"total_us\":", row.total_us) ||
-        !find_int(obj, "\"mean_us\":", row.mean_us) ||
-        !find_int(obj, "\"body_mean_us\":", row.body_mean_us) ||
-        !find_int(obj, "\"tail_mean_us\":", row.tail_mean_us)) {
-      return false;
-    }
-    if (region == "all") {
-      row.region = -1;
-    } else if (region.size() > 1 && region[0] == 'r') {
-      row.region = std::atoi(region.c_str() + 1);
-    } else {
-      return false;
-    }
-    out.rows.push_back(std::move(row));
-  }
-  return true;
-}
-
 bool load_blame_profile(std::string_view text, obs::BlameProfile& out,
                         std::string* err) {
-  if (looks_like_blame_profile(text)) {
-    if (parse_blame_profile(text, out)) return true;
-    if (err != nullptr) *err = "malformed critpath profile JSON";
-    return false;
-  }
+  if (obs::BlameProfile::from_json(text, out)) return true;
   std::istringstream is{std::string(text)};
-  const std::vector<RawEvent> events = read_jsonl(is);
-  bool any = false;
-  for (const RawEvent& e : events) {
-    if (e.ev != "!unparsed") {
-      any = true;
-      break;
-    }
-  }
-  if (!any) {
-    if (err != nullptr) {
-      *err = "neither a critpath profile JSON nor a trace.jsonl";
-    }
+  const std::vector<obs::RawEvent> events = obs::read_jsonl(is);
+  if (std::all_of(events.begin(), events.end(),
+                  [](const obs::RawEvent& e) { return e.ev == "!unparsed"; })) {
+    if (err != nullptr) *err = "neither a critpath profile JSON nor a trace.jsonl";
     return false;
   }
   out = obs::aggregate_blame(

@@ -1,9 +1,7 @@
 // bentotrace critical-path glue: adapts parsed trace events to the offline
-// analyzer in src/obs/critpath.hpp, and reads back the byte-stable blame
-// profile JSON that `bentotrace critpath --json` emits — so `bentotrace
-// diff A B` accepts either a raw trace.jsonl or a committed profile on
-// each side (the golden-profile gate in CI diffs a fresh run against a
-// checked-in JSON).
+// analyzer in src/obs/critpath.hpp, and loads a diff side from either a
+// raw trace.jsonl or a committed blame profile (the golden-profile gate in
+// CI diffs a fresh run against a checked-in JSON).
 #pragma once
 
 #include <string_view>
@@ -17,19 +15,11 @@ namespace bento::tools {
 /// Builds the analyzer input from parsed trace events: the span forest
 /// (with the kNoteLinkIdle / kNoteChaosDwell budget notes) plus the
 /// shard.barrier timestamps.
-obs::CritInput crit_input_from_events(const std::vector<RawEvent>& events);
+obs::CritInput crit_input_from_events(const std::vector<obs::RawEvent>& events);
 
-/// Parses a `{"critpath":{...}}` document (obs::BlameProfile::to_json) back
-/// into a profile. Returns false on anything that does not match the
-/// emitter's shape. Cohort counts are recovered; the per-request vectors
-/// are not (a parsed profile aggregates, it does not re-analyze).
-bool parse_blame_profile(std::string_view json, obs::BlameProfile& out);
-
-/// True when `text` looks like a blame profile JSON rather than a trace.
-bool looks_like_blame_profile(std::string_view text);
-
-/// Loads one side of a diff: a blame-profile JSON is parsed directly; any
-/// other content is treated as trace.jsonl and run through the analyzer.
+/// Loads one side of a diff: a blame-profile JSON is read by
+/// obs::BlameProfile::from_json; any other content is treated as
+/// trace.jsonl and run through the analyzer.
 /// Returns false (with *err set) when neither works.
 bool load_blame_profile(std::string_view text, obs::BlameProfile& out,
                         std::string* err);

@@ -41,6 +41,7 @@
 #include "bentotrace/reader.hpp"
 #include "bentotrace/shards.hpp"
 #include "obs/critpath.hpp"
+#include "obs/profile.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -71,9 +72,9 @@ bool self_check() {
   return true;
 }
 
-bool read_events(const std::string& path, std::vector<bento::tools::RawEvent>& out) {
+bool read_events(const std::string& path, std::vector<bento::obs::RawEvent>& out) {
   if (path == "-") {
-    out = bento::tools::read_jsonl(std::cin);
+    out = bento::obs::read_jsonl(std::cin);
     return true;
   }
   std::ifstream in(path);
@@ -81,7 +82,7 @@ bool read_events(const std::string& path, std::vector<bento::tools::RawEvent>& o
     std::cerr << "bentotrace: cannot open " << path << "\n";
     return false;
   }
-  out = bento::tools::read_jsonl(in);
+  out = bento::obs::read_jsonl(in);
   return true;
 }
 
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
     return diff.regressed() ? 1 : 0;
   }
 
-  std::vector<bento::tools::RawEvent> events;
+  std::vector<bento::obs::RawEvent> events;
   if (!read_events(path, events)) return 1;
 
   if (cmd == "critpath") {
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
       if (std::string(argv[i]) == "--profile" && i + 1 < argc) {
         std::string text;
         if (!read_whole(argv[++i], text)) return 1;
-        if (!bento::tools::parse_shard_profile(text, wall)) {
+        if (!bento::obs::ShardProfileSnapshot::from_json(text, wall)) {
           std::cerr << "bentotrace: not a ShardProfile JSON: " << argv[i] << "\n";
           return 1;
         }

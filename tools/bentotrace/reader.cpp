@@ -2,85 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
-#include <istream>
 #include <ostream>
 
 #include "bentotrace/textutil.hpp"
 #include "obs/slo.hpp"
+#include "util/json.hpp"
 
 namespace bento::tools {
-
-namespace {
-
-// Minimal field scanner for the exporter's fixed shape. Not a general JSON
-// parser on purpose: export_jsonl emits exactly one object per line with the
-// keys ts/ev/a/b/ok in that order, and refusing anything else means a
-// corrupted dump is reported instead of half-read.
-bool skip_literal(std::string_view& s, std::string_view lit) {
-  if (s.substr(0, lit.size()) != lit) return false;
-  s.remove_prefix(lit.size());
-  return true;
-}
-
-template <typename Int>
-bool take_int(std::string_view& s, Int& out) {
-  const auto* begin = s.data();
-  const auto* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc{} || ptr == begin) return false;
-  s.remove_prefix(static_cast<std::size_t>(ptr - begin));
-  return true;
-}
-
-bool take_string(std::string_view& s, std::string& out) {
-  if (s.empty() || s.front() != '"') return false;
-  s.remove_prefix(1);
-  const std::size_t close = s.find('"');
-  if (close == std::string_view::npos) return false;
-  // Event names never contain escapes; a backslash means a foreign line.
-  if (s.substr(0, close).find('\\') != std::string_view::npos) return false;
-  out.assign(s.substr(0, close));
-  s.remove_prefix(close + 1);
-  return true;
-}
-
-}  // namespace
-
-std::optional<RawEvent> parse_jsonl_line(std::string_view line) {
-  while (!line.empty() && (line.back() == '\r' || line.back() == '\n')) {
-    line.remove_suffix(1);
-  }
-  if (line.empty()) return std::nullopt;
-  RawEvent ev;
-  int ok_int = 0;
-  if (!skip_literal(line, "{\"ts\":") || !take_int(line, ev.ts) ||
-      !skip_literal(line, ",\"ev\":") || !take_string(line, ev.ev) ||
-      !skip_literal(line, ",\"a\":") || !take_int(line, ev.a) ||
-      !skip_literal(line, ",\"b\":") || !take_int(line, ev.b) ||
-      !skip_literal(line, ",\"ok\":") || !take_int(line, ok_int) ||
-      !skip_literal(line, "}") || !line.empty()) {
-    return std::nullopt;
-  }
-  ev.ok = ok_int != 0;
-  return ev;
-}
-
-std::vector<RawEvent> read_jsonl(std::istream& is) {
-  std::vector<RawEvent> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (auto ev = parse_jsonl_line(line)) {
-      out.push_back(std::move(*ev));
-    } else if (!line.empty()) {
-      // Keep a tombstone so build_forest can count unparsed lines.
-      RawEvent bad;
-      bad.ev = "!unparsed";
-      out.push_back(std::move(bad));
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -93,9 +21,9 @@ obs::Stage stage_from_index(std::uint64_t idx) {
 
 }  // namespace
 
-TraceForest build_forest(const std::vector<RawEvent>& events) {
+TraceForest build_forest(const std::vector<obs::RawEvent>& events) {
   TraceForest forest;
-  for (const RawEvent& ev : events) {
+  for (const obs::RawEvent& ev : events) {
     if (ev.ev == "!unparsed") {
       ++forest.unparsed_lines;
       continue;
@@ -187,13 +115,6 @@ void format_node(const TraceForest& forest, std::uint32_t id, int depth,
   }
 }
 
-// Percentiles everywhere in bentotrace are obs::slo_percentile — the same
-// nearest-rank convention the SLO gates use, so a table can never disagree
-// with the spec that gates it.
-std::int64_t percentile(const std::vector<std::int64_t>& sorted, double p) {
-  return obs::slo_percentile(sorted, p);
-}
-
 }  // namespace
 
 void format_tree(const TraceForest& forest, std::ostream& os) {
@@ -251,8 +172,8 @@ void format_stage_summary(const TraceForest& forest, std::ostream& os) {
     rcol(os, static_cast<std::int64_t>(a.failed), 6);
     rcol(os, total, 10);
     rcol(os, mean, 11);
-    rcol(os, percentile(a.durations, 50), 11);
-    rcol(os, percentile(a.durations, 95), 11);
+    rcol(os, obs::slo_percentile(a.durations, 50), 11);
+    rcol(os, obs::slo_percentile(a.durations, 95), 11);
     rcol(os, a.durations.empty() ? 0 : a.durations.back(), 11);
     if (a.incomplete > 0) os << "  (" << a.incomplete << " incomplete)";
     os << "\n";
@@ -280,10 +201,10 @@ void format_ttfb_table(const TraceForest& forest, std::ostream& os) {
       os << "  " << key;
       for (std::size_t pad = key.size(); pad < 8; ++pad) os << ' ';
       rcol(os, static_cast<std::int64_t>(v.size()), 7);
-      rcol(os, percentile(v, 50), 8);
-      rcol(os, percentile(v, 95), 8);
-      rcol(os, percentile(v, 99), 8);
-      rcol(os, percentile(v, 99.9), 8);
+      rcol(os, obs::slo_percentile(v, 50), 8);
+      rcol(os, obs::slo_percentile(v, 95), 8);
+      rcol(os, obs::slo_percentile(v, 99), 8);
+      rcol(os, obs::slo_percentile(v, 99.9), 8);
       rcol(os, v.back(), 8);
       os << "\n";
     };
@@ -298,45 +219,32 @@ void export_chrome(const TraceForest& forest, std::ostream& os) {
   // One Chrome lane (tid) per trace, keyed by the root span's id. Async
   // b/e pairs draw the span bars; s/f flow events draw parent->child arrows
   // so cross-hop causality stays visible even when Chrome collapses lanes.
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&os, &first](const std::string& json) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << json;
-  };
+  util::json::Writer w(os);
+  w.begin_object().field("displayTimeUnit", "ms").key("traceEvents").begin_array(true);
   for (const std::uint32_t root : forest.roots) {
-    const std::uint32_t lane = root;
+    const auto event = [&w, root](const char* name, const char* cat, const char* ph,
+                                  std::uint32_t id, std::int64_t ts) -> util::json::Writer& {
+      w.begin_object().field("name", name).field("cat", cat).field("ph", ph);
+      if (ph[0] == 'f') w.field("bp", "e");
+      return w.field("id", id).field("pid", 1).field("tid", root).field("ts", ts);
+    };
     std::vector<std::uint32_t> stack{root};
     while (!stack.empty()) {
-      const std::uint32_t id = stack.back();
+      const SpanNode& node = forest.spans.at(stack.back());
       stack.pop_back();
-      const SpanNode& node = forest.spans.at(id);
       if (node.begin_ts >= 0) {
-        const std::string name(obs::stage_name(node.stage));
-        const std::string common = ",\"pid\":1,\"tid\":" + std::to_string(lane);
-        emit("{\"name\":\"" + name + "\",\"cat\":\"span\",\"ph\":\"b\",\"id\":" +
-             std::to_string(node.id) + common +
-             ",\"ts\":" + std::to_string(node.begin_ts) +
-             ",\"args\":{\"span\":" + std::to_string(node.id) +
-             ",\"parent\":" + std::to_string(node.parent) +
-             ",\"ok\":" + (node.ok ? "true" : "false") + "}}");
-        const std::int64_t end_ts = node.end_ts >= 0 ? node.end_ts : node.begin_ts;
-        emit("{\"name\":\"" + name + "\",\"cat\":\"span\",\"ph\":\"e\",\"id\":" +
-             std::to_string(node.id) + common +
-             ",\"ts\":" + std::to_string(end_ts) + "}");
-        if (node.parent != 0) {
-          auto parent_it = forest.spans.find(node.parent);
-          if (parent_it != forest.spans.end() &&
-              parent_it->second.begin_ts >= 0) {
-            // Flow arrow: parent begin -> child begin.
-            emit("{\"name\":\"causal\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" +
-                 std::to_string(node.id) + common +
-                 ",\"ts\":" + std::to_string(parent_it->second.begin_ts) + "}");
-            emit("{\"name\":\"causal\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" +
-                 std::to_string(node.id) + common +
-                 ",\"ts\":" + std::to_string(node.begin_ts) + "}");
-          }
+        const char* name = obs::stage_name(node.stage);
+        event(name, "span", "b", node.id, node.begin_ts).key("args").begin_object();
+        w.field("span", node.id).field("parent", node.parent).field("ok", node.ok);
+        w.end_object().end_object();
+        event(name, "span", "e", node.id, node.end_ts >= 0 ? node.end_ts : node.begin_ts)
+            .end_object();
+        const auto parent_it = forest.spans.find(node.parent);
+        if (node.parent != 0 && parent_it != forest.spans.end() &&
+            parent_it->second.begin_ts >= 0) {
+          // Flow arrow: parent begin -> child begin.
+          event("causal", "flow", "s", node.id, parent_it->second.begin_ts).end_object();
+          event("causal", "flow", "f", node.id, node.begin_ts).end_object();
         }
       }
       for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
@@ -344,7 +252,8 @@ void export_chrome(const TraceForest& forest, std::ostream& os) {
       }
     }
   }
-  os << "\n]}\n";
+  w.end_array().end_object();
+  os << '\n';
 }
 
 }  // namespace bento::tools

@@ -2,9 +2,9 @@
 // trace.jsonl dump (obs::Recorder::export_jsonl).
 //
 // The recorder stores spans as flat POD events (SpanBegin / SpanEnd /
-// SpanNote, see src/obs/span.hpp); this library parses the JSONL stream,
-// stitches the events back into per-request trees via the parent ids packed
-// into SpanBegin.b, and computes the per-stage latency breakdowns and
+// SpanNote, see src/obs/span.hpp); this library takes the events that
+// obs::read_jsonl parsed, stitches them back into per-request trees via the
+// parent ids packed into SpanBegin.b, and computes the per-stage latency breakdowns and
 // TTFB/TTLB percentile tables the paper-style overhead analysis needs.
 //
 // Everything is deterministic: the same trace.jsonl produces byte-identical
@@ -15,30 +15,13 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace bento::tools {
-
-/// One parsed line of trace.jsonl.
-struct RawEvent {
-  std::int64_t ts = 0;
-  std::string ev;
-  std::uint32_t a = 0;
-  std::uint64_t b = 0;
-  bool ok = true;
-};
-
-/// Parses one `{"ts":..,"ev":"..","a":..,"b":..,"ok":..}` line. Returns
-/// nullopt for blank lines or lines that do not match the exporter's shape.
-std::optional<RawEvent> parse_jsonl_line(std::string_view line);
-
-/// Reads a whole stream, skipping unparseable lines (counted in the forest).
-std::vector<RawEvent> read_jsonl(std::istream& is);
 
 /// One reconstructed span.
 struct SpanNode {
@@ -71,7 +54,7 @@ struct TraceForest {
   std::vector<std::pair<std::uint32_t, std::int64_t>> ttlb;
 };
 
-TraceForest build_forest(const std::vector<RawEvent>& events);
+TraceForest build_forest(const std::vector<obs::RawEvent>& events);
 
 /// Indented per-request tree dump; byte-stable for a given trace.
 void format_tree(const TraceForest& forest, std::ostream& os);

@@ -19,62 +19,7 @@ struct RegionAgg {
 
 }  // namespace
 
-bool parse_shard_profile(std::string_view json, obs::ShardProfileSnapshot& out) {
-  const std::size_t at = json.find("{\"shard_profile\":{");
-  if (at == std::string_view::npos) return false;
-  std::string_view body = json.substr(at);
-  // The wall object (when present) repeats no deterministic keys, and the
-  // regions/workers arrays carry their own, so whole-body key search is
-  // unambiguous against the emitter's schema.
-  if (!find_int(body, "\"windows\":", out.windows) ||
-      !find_int(body, "\"window_events\":", out.window_events) ||
-      !find_int(body, "\"max_window_events\":", out.max_window_events) ||
-      !find_int(body, "\"span_us\":{\"sum\":", out.span_sum_us) ||
-      !find_int(body, "\"min\":", out.span_min_us) ||
-      !find_int(body, "\"max\":", out.span_max_us) ||
-      !find_int(body, "\"mailbox\":{\"events\":", out.mailbox_events) ||
-      !find_int(body, "\"depth_high_water\":", out.mailbox_depth_hw) ||
-      !find_int(body, "\"exclusive_events\":", out.exclusive_events) ||
-      !find_int(body, "\"lookahead_us\":", out.lookahead_us)) {
-    return false;
-  }
-  out.regions.clear();
-  for (std::string_view obj : array_objects(body, "\"regions\":[")) {
-    obs::ShardProfileSnapshot::RegionRow row;
-    if (!find_int(obj, "\"id\":", row.id) ||
-        !find_int(obj, "\"events\":", row.events) ||
-        !find_int(obj, "\"windows\":", row.windows)) {
-      return false;
-    }
-    out.regions.push_back(row);
-  }
-  out.workers.clear();
-  const std::size_t wall_at = body.find(",\"wall\":{");
-  if (wall_at != std::string_view::npos) {
-    std::string_view wall = body.substr(wall_at);
-    if (!find_int(wall, "\"run_ns\":", out.run_wall_ns) ||
-        !find_int(wall, "\"dispatch_ns\":", out.dispatch_wall_ns) ||
-        !find_int(wall, "\"barrier_ns\":", out.barrier_wall_ns) ||
-        !find_int(wall, "\"drain_ns\":", out.drain_wall_ns) ||
-        !find_int(wall, "\"merge_ns\":", out.merge_wall_ns) ||
-        !find_int(wall, "\"exclusive_ns\":", out.exclusive_wall_ns)) {
-      return false;
-    }
-    for (std::string_view obj : array_objects(wall, "\"workers\":[")) {
-      obs::ShardProfileSnapshot::WorkerRow row;
-      if (!find_int(obj, "\"id\":", row.id) ||
-          !find_int(obj, "\"busy_ns\":", row.busy_ns) ||
-          !find_int(obj, "\"windows\":", row.windows) ||
-          !find_int(obj, "\"events\":", row.events)) {
-        return false;
-      }
-      out.workers.push_back(row);
-    }
-  }
-  return true;
-}
-
-void format_shard_report(const std::vector<RawEvent>& events,
+void format_shard_report(const std::vector<obs::RawEvent>& events,
                          const obs::ShardProfileSnapshot* wall, std::ostream& os) {
   std::vector<RegionAgg> regions;  // sparse by id, compacted below
   std::uint64_t barriers = 0;
@@ -84,7 +29,7 @@ void format_shard_report(const std::vector<RawEvent>& events,
   std::uint64_t active_sum = 0;
   std::uint32_t active_min = 0;
   std::uint32_t active_max = 0;
-  for (const RawEvent& e : events) {
+  for (const obs::RawEvent& e : events) {
     if (e.ev == "shard.window") {
       if (e.a >= regions.size()) regions.resize(e.a + 1);
       regions[e.a].id = e.a;
@@ -168,12 +113,12 @@ void format_shard_report(const std::vector<RawEvent>& events,
   }
 }
 
-obs::SloReport evaluate_trace_slos(const std::vector<RawEvent>& events,
+obs::SloReport evaluate_trace_slos(const std::vector<obs::RawEvent>& events,
                                    const std::vector<obs::SloSpec>& specs) {
   obs::SloInput input;
   std::vector<RegionAgg> regions;
   std::uint64_t barriers = 0;
-  for (const RawEvent& e : events) {
+  for (const obs::RawEvent& e : events) {
     if (e.ev == "stream.ttfb") {
       input.add_sample("ttfb_us", static_cast<std::int64_t>(e.b));
     } else if (e.ev == "stream.ttlb") {

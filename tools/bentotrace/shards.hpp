@@ -14,7 +14,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bentotrace/reader.hpp"
@@ -23,15 +22,10 @@
 
 namespace bento::tools {
 
-/// Parses a `{"shard_profile":{...}}` document (obs::ShardProfileSnapshot::
-/// to_json, with or without the "wall" object) back into a snapshot.
-/// Returns false on anything that does not match the emitter's shape.
-bool parse_shard_profile(std::string_view json, obs::ShardProfileSnapshot& out);
-
 /// Shard balance + barrier report from trace events, with wall-time
 /// attribution appended when `wall` is non-null (a snapshot whose wall half
 /// is populated). Byte-stable for fixed inputs.
-void format_shard_report(const std::vector<RawEvent>& events,
+void format_shard_report(const std::vector<obs::RawEvent>& events,
                          const obs::ShardProfileSnapshot* wall, std::ostream& os);
 
 /// Builds the SLO input (ttfb_us / ttlb_us series) from trace events and
@@ -39,7 +33,7 @@ void format_shard_report(const std::vector<RawEvent>& events,
 /// (shard.barrier count) and "region_imbalance" (from shard.window events).
 /// Specs naming "critpath.*" metrics (e.g. critpath.net_link_queue_us) run
 /// the critical-path analyzer over the same events to build those series.
-obs::SloReport evaluate_trace_slos(const std::vector<RawEvent>& events,
+obs::SloReport evaluate_trace_slos(const std::vector<obs::RawEvent>& events,
                                    const std::vector<obs::SloSpec>& specs);
 
 }  // namespace bento::tools

@@ -1,16 +1,12 @@
-// Shared text helpers for the bentotrace analysis library: fixed-width table
-// columns, fixed-point percent rendering, and the key-directed scanner used
-// to read back our own byte-stable JSON emitters (ShardProfile, critpath
-// blame profiles). One copy, so summary, shards, slo and critpath can never
-// disagree on formatting or parsing conventions.
+// Shared text helpers for the bentotrace tables: fixed-width columns and
+// fixed-point percent rendering. One copy, so summary and shards can never
+// disagree on formatting. JSON is not handled here: every artifact is read
+// and written through util/json by the src/obs module that owns its format.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace bento::tools {
 
@@ -34,54 +30,6 @@ inline double pct_of(std::uint64_t part, std::uint64_t whole) {
   return whole == 0
              ? 0.0
              : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
-}
-
-/// Key-directed scanner for our emitters' fixed shapes (no whitespace,
-/// known key order). Like the jsonl reader, refusing anything else means a
-/// foreign file is reported instead of half-read.
-template <typename Int>
-bool find_int(std::string_view text, std::string_view key, Int& out) {
-  const std::size_t at = text.find(key);
-  if (at == std::string_view::npos) return false;
-  std::string_view rest = text.substr(at + key.size());
-  const auto* begin = rest.data();
-  const auto* end = rest.data() + rest.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr != begin;
-}
-
-/// Finds `"key":"value"` and extracts the (escape-free) string value.
-inline bool find_str(std::string_view text, std::string_view key,
-                     std::string& out) {
-  const std::size_t at = text.find(key);
-  if (at == std::string_view::npos) return false;
-  std::string_view rest = text.substr(at + key.size());
-  if (rest.empty() || rest.front() != '"') return false;
-  rest.remove_prefix(1);
-  const std::size_t close = rest.find('"');
-  if (close == std::string_view::npos) return false;
-  out.assign(rest.substr(0, close));
-  return true;
-}
-
-/// Splits `text` into the `{...}` object bodies of the array at `key`.
-inline std::vector<std::string_view> array_objects(std::string_view text,
-                                                   std::string_view key) {
-  std::vector<std::string_view> out;
-  std::size_t at = text.find(key);
-  if (at == std::string_view::npos) return out;
-  at += key.size();
-  while (at < text.size() && text[at] != ']') {
-    if (text[at] != '{') {
-      ++at;
-      continue;
-    }
-    const std::size_t close = text.find('}', at);
-    if (close == std::string_view::npos) break;
-    out.push_back(text.substr(at + 1, close - at - 1));
-    at = close + 1;
-  }
-  return out;
 }
 
 }  // namespace bento::tools
