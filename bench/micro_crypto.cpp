@@ -129,17 +129,36 @@ static void BM_SchnorrSign(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrSign);
 
-// One DH exchange from one side: DhKeyPair::generate plus dh_shared, i.e.
-// two modpow calls over p = 2^127 - 1.
-static void BM_DhModpow(benchmark::State& state) {
+// Fixed base: a keypair is 3^secret mod p, read from the static comb table.
+static void BM_DhGenerate(benchmark::State& state) {
+  bu::Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bc::DhKeyPair::generate(rng));
+  }
+}
+BENCHMARK(BM_DhGenerate);
+
+// Variable base: the peer's public value raised to our secret, by the
+// 4-bit window.
+static void BM_DhShared(benchmark::State& state) {
   bu::Rng rng(9);
   const auto peer = bc::DhKeyPair::generate(rng);
+  const auto mine = bc::DhKeyPair::generate(rng);
   for (auto _ : state) {
-    const auto mine = bc::DhKeyPair::generate(rng);
     benchmark::DoNotOptimize(bc::dh_shared(mine, peer.public_value));
   }
 }
-BENCHMARK(BM_DhModpow);
+BENCHMARK(BM_DhShared);
+
+// The relay-layer derivation's shape: empty salt, 128 bytes of output.
+static void BM_Hkdf128EmptySalt(benchmark::State& state) {
+  bu::Rng rng(10);
+  const bu::Bytes ikm = rng.bytes(48);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bc::hkdf(ikm, {}, "bento-ntor-keys", 128));
+  }
+}
+BENCHMARK(BM_Hkdf128EmptySalt);
 
 static void BM_SchnorrVerify(benchmark::State& state) {
   bu::Rng rng(6);

@@ -29,7 +29,11 @@ Gp group_prime();
 /// double-and-add, safe against 128-bit overflow. Not constant-time.
 Gp modmul(Gp a, Gp b, Gp mod);
 
-/// Modular exponentiation by squaring.
+/// Modular exponentiation. For mod == group_prime(), base 3 (the generator)
+/// multiplies one entry of a static fixed-base table per nonzero exponent
+/// nibble and any other base uses a 4-bit window; any other modulus uses
+/// square-and-multiply. Not constant-time: timing depends on the exponent's
+/// nibbles (DESIGN.md §11).
 Gp modpow(Gp base, Gp exp, Gp mod);
 
 /// Serializes a group element as 16 big-endian bytes.

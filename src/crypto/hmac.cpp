@@ -1,61 +1,75 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bento::crypto {
 
-Digest hmac_sha256(util::ByteView key, util::ByteView message) {
-  std::array<std::uint8_t, 64> k{};
-  if (key.size() > 64) {
-    Digest kd = sha256(key);
-    std::copy(kd.begin(), kd.end(), k.begin());
+namespace {
+constexpr std::size_t kMaxExpand = 255 * 32;
+}  // namespace
+
+HmacKey::HmacKey(util::ByteView key) {
+  std::array<std::uint8_t, 64> block{};
+  if (key.size() > block.size()) {
+    const Digest kd = sha256(key);
+    std::copy(kd.begin(), kd.end(), block.begin());
   } else {
-    std::copy(key.begin(), key.end(), k.begin());
+    std::copy(key.begin(), key.end(), block.begin());
   }
-  std::array<std::uint8_t, 64> ipad{}, opad{};
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
-  }
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(message);
-  Digest inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest);
+  for (auto& b : block) b ^= 0x36;
+  inner_.update(block);
+  for (auto& b : block) b ^= 0x36 ^ 0x5c;
+  outer_.update(block);
+}
+
+Digest HmacKey::mac(util::ByteView message) const {
+  return mac(std::span<const util::ByteView>(&message, 1));
+}
+
+Digest HmacKey::mac(std::span<const util::ByteView> parts) const {
+  Sha256 inner = inner_;
+  Sha256 outer = outer_;
+  for (const util::ByteView part : parts) inner.update(part);
+  outer.update(inner.finish());
   return outer.finish();
 }
 
+Digest hmac_sha256(util::ByteView key, util::ByteView message) {
+  return HmacKey(key).mac(message);
+}
+
 Digest hkdf_extract(util::ByteView salt, util::ByteView ikm) {
-  return hmac_sha256(salt, ikm);
+  if (!salt.empty()) return HmacKey(salt).mac(ikm);
+  // RFC 5869's default salt, HashLen zero bytes, pads to the same block as
+  // an empty key.
+  static const HmacKey empty_salt{util::ByteView{}};
+  return empty_salt.mac(ikm);
+}
+
+void hkdf_expand(const HmacKey& prk, util::ByteView info, std::span<std::uint8_t> out) {
+  if (out.size() > kMaxExpand) throw std::invalid_argument("hkdf_expand: too long");
+  // T(i) = HMAC(PRK, T(i-1) | info | i), with T(0) empty.
+  Digest t{};
+  std::uint8_t counter = 1;
+  for (std::size_t off = 0; off < out.size(); off += t.size(), ++counter) {
+    const util::ByteView parts[] = {util::ByteView(t.data(), off == 0 ? 0 : t.size()), info,
+                                    util::ByteView(&counter, 1)};
+    t = prk.mac(parts);
+    std::copy_n(t.begin(), std::min(t.size(), out.size() - off), out.begin() + off);
+  }
 }
 
 util::Bytes hkdf_expand(const Digest& prk, util::ByteView info, std::size_t length) {
-  if (length > 255 * 32) throw std::invalid_argument("hkdf_expand: too long");
-  util::Bytes out;
-  out.reserve(length);
-  Digest t{};
-  std::size_t t_len = 0;
-  std::uint8_t counter = 1;
-  while (out.size() < length) {
-    util::Bytes block;
-    block.insert(block.end(), t.begin(), t.begin() + static_cast<std::ptrdiff_t>(t_len));
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    t = hmac_sha256(prk, block);
-    t_len = 32;
-    const std::size_t take = std::min<std::size_t>(32, length - out.size());
-    out.insert(out.end(), t.begin(), t.begin() + static_cast<std::ptrdiff_t>(take));
-  }
+  if (length > kMaxExpand) throw std::invalid_argument("hkdf_expand: too long");
+  util::Bytes out(length);
+  hkdf_expand(HmacKey(prk), info, out);
   return out;
 }
 
 util::Bytes hkdf(util::ByteView ikm, util::ByteView salt, std::string_view info,
                  std::size_t length) {
-  Digest prk = hkdf_extract(salt, ikm);
-  util::Bytes info_bytes(info.begin(), info.end());
-  return hkdf_expand(prk, info_bytes, length);
+  return hkdf_expand(hkdf_extract(salt, ikm), util::as_byte_view(info), length);
 }
 
 }  // namespace bento::crypto

@@ -47,7 +47,8 @@ Signature SigningKey::sign(util::ByteView message) const {
   util::Writer w;
   w.raw(gp_to_bytes(key_.secret));
   w.blob(message);
-  const Digest d = hmac_sha256(util::to_bytes("bento-schnorr-nonce"), w.data());
+  static const HmacKey nonce_key(util::as_byte_view("bento-schnorr-nonce"));
+  const Digest d = nonce_key.mac(w.data());
   Gp k = 0;
   for (int i = 0; i < 16; ++i) k = (k << 8) | d[static_cast<std::size_t>(i)];
   k = 2 + k % (order - 2);
@@ -72,7 +73,7 @@ bool verify(Gp public_key, util::ByteView message, const Signature& sig) {
 
 std::string key_fingerprint(Gp public_key) {
   const Digest d = sha256(gp_to_bytes(public_key));
-  return util::to_hex(util::ByteView(d.data(), 8));
+  return util::to_hex(util::ByteView(d.data(), kFingerprintLen / 2));
 }
 
 }  // namespace bento::crypto

@@ -46,6 +46,9 @@ class SigningKey {
 /// Verifies sig over message under the given public key.
 bool verify(Gp public_key, util::ByteView message, const Signature& sig);
 
+/// Length of a key fingerprint: 8 hash bytes in hex.
+inline constexpr std::size_t kFingerprintLen = 16;
+
 /// Short printable identifier for a public key (first 8 hash bytes, hex).
 std::string key_fingerprint(Gp public_key);
 

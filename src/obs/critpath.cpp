@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "util/json.hpp"
+#include "util/textutil.hpp"
 
 namespace bento::obs {
 
@@ -22,16 +23,6 @@ std::string stage_token(Stage stage) {
     if (c == '.') c = '_';
   }
   return name;
-}
-
-void col(std::ostream& os, const std::string& s, std::size_t width) {
-  for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
-  os << s;
-}
-
-void lcol(std::ostream& os, const std::string& s, std::size_t width) {
-  os << s;
-  for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
 }
 
 /// "8333" -> "83.33": x100 fixed-point percent, integer arithmetic only.
@@ -221,9 +212,10 @@ BlameProfile aggregate_blame(const CritReport& report) {
     totals.push_back(r.total_us);
     p.sum_us += r.total_us;
   }
-  p.p50_us = slo_percentile(totals, 50);
-  p.p99_us = slo_percentile(totals, 99);
-  p.p999_us = slo_percentile(totals, 99.9);
+  std::sort(totals.begin(), totals.end());
+  p.p50_us = percentile_sorted(totals, 50);
+  p.p99_us = percentile_sorted(totals, 99);
+  p.p999_us = percentile_sorted(totals, 99.9);
 
   struct Agg {
     std::uint64_t requests = 0;
@@ -373,14 +365,14 @@ std::string BlameProfile::to_string() const {
         "  mean_us  body_mean  tail_mean\n";
   for (const Row& r : rows) {
     const std::int64_t share = sum_us > 0 ? r.total_us * 10000 / sum_us : 0;
-    lcol(os, r.seg, 30);
-    lcol(os, region_label(r.region), 7);
-    col(os, std::to_string(r.requests), 6);
-    col(os, std::to_string(r.total_us), 14);
-    col(os, pct_x100(share), 8);
-    col(os, std::to_string(r.mean_us), 11);
-    col(os, std::to_string(r.body_mean_us), 11);
-    col(os, std::to_string(r.tail_mean_us), 11);
+    util::lcol(os, r.seg, 30);
+    util::lcol(os, region_label(r.region), 7);
+    util::rcol(os, std::to_string(r.requests), 6);
+    util::rcol(os, std::to_string(r.total_us), 14);
+    util::rcol(os, pct_x100(share), 8);
+    util::rcol(os, std::to_string(r.mean_us), 11);
+    util::rcol(os, std::to_string(r.body_mean_us), 11);
+    util::rcol(os, std::to_string(r.tail_mean_us), 11);
     os << "\n";
   }
   return std::move(os).str();
@@ -475,13 +467,13 @@ std::string BlameDiff::to_string() const {
   os << "segment                        a_mean_us  b_mean_us      delta  "
         "a_tail_us  b_tail_us tail_delta  verdict\n";
   for (const Row& r : rows) {
-    lcol(os, r.seg, 30);
-    col(os, std::to_string(r.a_mean_us), 10);
-    col(os, std::to_string(r.b_mean_us), 11);
-    col(os, std::to_string(r.b_mean_us - r.a_mean_us), 11);
-    col(os, std::to_string(r.a_tail_mean_us), 11);
-    col(os, std::to_string(r.b_tail_mean_us), 11);
-    col(os, std::to_string(r.b_tail_mean_us - r.a_tail_mean_us), 11);
+    util::lcol(os, r.seg, 30);
+    util::rcol(os, std::to_string(r.a_mean_us), 10);
+    util::rcol(os, std::to_string(r.b_mean_us), 11);
+    util::rcol(os, std::to_string(r.b_mean_us - r.a_mean_us), 11);
+    util::rcol(os, std::to_string(r.a_tail_mean_us), 11);
+    util::rcol(os, std::to_string(r.b_tail_mean_us), 11);
+    util::rcol(os, std::to_string(r.b_tail_mean_us - r.a_tail_mean_us), 11);
     os << "  " << (r.regressed ? "REGRESSED" : "ok") << "\n";
   }
   return std::move(os).str();

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/json.hpp"
+#include "util/textutil.hpp"
 
 namespace bento::obs {
 
@@ -26,15 +27,6 @@ void bar(std::ostream& os, double frac, int width) {
   if (frac > 1) frac = 1;
   const int fill = static_cast<int>(frac * width + 0.5);
   for (int i = 0; i < width; ++i) os << (i < fill ? '#' : '.');
-}
-
-double pct(std::uint64_t part, std::uint64_t whole) {
-  return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
-}
-
-void fixed1(std::ostream& os, double v) {
-  const std::int64_t scaled = static_cast<std::int64_t>(v * 10 + (v < 0 ? -0.5 : 0.5));
-  os << scaled / 10 << '.' << (scaled < 0 ? -(scaled % 10) : scaled % 10);
 }
 
 }  // namespace
@@ -292,7 +284,7 @@ void render_top_frame(const ShardProfileSnapshot& s, std::ostream& os) {
        << s.span_max_us << " | events/window mean "
        << s.window_events / s.windows << " max " << s.max_window_events
        << " | imbalance ";
-    fixed1(os, static_cast<double>(s.imbalance_x1000()) / 1000.0);
+    util::fixed1(os, static_cast<double>(s.imbalance_x1000()) / 1000.0);
     os << "x\n";
   } else {
     os << "no windowed activity (serial or single-region run)\n";
@@ -307,7 +299,7 @@ void render_top_frame(const ShardProfileSnapshot& s, std::ostream& os) {
                                    static_cast<double>(s.regions.size()),
           16);
       os << " " << r.events << " ev ";
-      fixed1(os, pct(r.events, total));
+      util::fixed1(os, util::pct_of(r.events, total));
       os << "% " << r.windows << " win\n";
     }
   }
@@ -319,7 +311,7 @@ void render_top_frame(const ShardProfileSnapshot& s, std::ostream& os) {
       os << "  w" << w.id << " ";
       bar(os, occ, 16);
       os << " ";
-      fixed1(os, occ * 100.0);
+      util::fixed1(os, occ * 100.0);
       os << "% busy " << w.windows << " win " << w.events << " ev\n";
     }
     const std::uint64_t accounted = s.dispatch_wall_ns + s.barrier_wall_ns +
@@ -328,17 +320,17 @@ void render_top_frame(const ShardProfileSnapshot& s, std::ostream& os) {
     const std::uint64_t other =
         s.run_wall_ns > accounted ? s.run_wall_ns - accounted : 0;
     os << "wall: dispatch ";
-    fixed1(os, pct(s.dispatch_wall_ns + s.exclusive_wall_ns, s.run_wall_ns));
+    util::fixed1(os, util::pct_of(s.dispatch_wall_ns + s.exclusive_wall_ns, s.run_wall_ns));
     os << "% | barrier ";
-    fixed1(os, pct(s.barrier_wall_ns, s.run_wall_ns));
+    util::fixed1(os, util::pct_of(s.barrier_wall_ns, s.run_wall_ns));
     os << "% | drain ";
-    fixed1(os, pct(s.drain_wall_ns, s.run_wall_ns));
+    util::fixed1(os, util::pct_of(s.drain_wall_ns, s.run_wall_ns));
     os << "% | merge ";
-    fixed1(os, pct(s.merge_wall_ns, s.run_wall_ns));
+    util::fixed1(os, util::pct_of(s.merge_wall_ns, s.run_wall_ns));
     os << "% | other ";
-    fixed1(os, pct(other, s.run_wall_ns));
+    util::fixed1(os, util::pct_of(other, s.run_wall_ns));
     os << "% (run ";
-    fixed1(os, static_cast<double>(s.run_wall_ns) / 1e6);
+    util::fixed1(os, static_cast<double>(s.run_wall_ns) / 1e6);
     os << " ms)\n";
   }
 }

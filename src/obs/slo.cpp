@@ -112,9 +112,8 @@ void SloInput::collect_latencies(const Recorder& rec) {
   }
 }
 
-std::int64_t slo_percentile(std::vector<std::int64_t> samples, double pct) {
+std::int64_t percentile_sorted(std::span<const std::int64_t> samples, double pct) {
   if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
   // Nearest rank: the smallest sample with at least pct% of the mass at or
   // below it. rank is 1-based; the epsilon keeps an exact rank exact when
   // pct/100*n lands a hair above an integer (99.9% of 1000 must be rank
@@ -124,6 +123,11 @@ std::int64_t slo_percentile(std::vector<std::int64_t> samples, double pct) {
   std::size_t idx = static_cast<std::size_t>(rank) - 1;
   if (idx >= samples.size()) idx = samples.size() - 1;
   return samples[idx];
+}
+
+std::int64_t slo_percentile(std::vector<std::int64_t> samples, double pct) {
+  std::sort(samples.begin(), samples.end());
+  return percentile_sorted(samples, pct);
 }
 
 SloReport evaluate_slos(std::string scenario, const std::vector<SloSpec>& specs,

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,6 +87,9 @@ struct SloReport {
   /// Human-readable verdict table.
   std::string to_string() const;
 };
+
+/// Nearest-rank percentile over an ascending series; 0 when it is empty.
+std::int64_t percentile_sorted(std::span<const std::int64_t> samples, double pct);
 
 /// Nearest-rank percentile over an unsorted series (sorts a copy); 0 when
 /// the series is empty.

@@ -1,5 +1,6 @@
 #include "tor/directory.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/serialize.hpp"
@@ -106,8 +107,15 @@ bool Consensus::verify(crypto::Gp expected_authority) const {
 }
 
 const RelayDescriptor* Consensus::find(const std::string& fingerprint) const {
-  for (const auto& rel : relays) {
-    if (rel.fingerprint() == fingerprint) return &rel;
+  const std::size_t indexed = fingerprints == nullptr ? 0 : fingerprints->size();
+  for (std::size_t i = 0; i < relays.size(); ++i) {
+    const RelayDescriptor& rel = relays[i];
+    if (i < indexed && (*fingerprints)[i].identity_key == rel.identity_key) {
+      const auto& fp = (*fingerprints)[i].fingerprint;
+      if (std::string_view(fp.data(), fp.size()) == fingerprint) return &rel;
+    } else if (rel.fingerprint() == fingerprint) {
+      return &rel;
+    }
   }
   return nullptr;
 }
@@ -147,7 +155,16 @@ void DirectoryAuthority::upload(const RelayDescriptor& descriptor) {
 Consensus DirectoryAuthority::make_consensus(util::Time now) const {
   Consensus c;
   c.valid_after = now;
-  for (const auto& [fp, d] : descriptors_) c.relays.push_back(d);
+  auto fingerprints = std::make_shared<FingerprintIndex>();
+  c.relays.reserve(descriptors_.size());
+  fingerprints->reserve(descriptors_.size());
+  for (const auto& [fp, d] : descriptors_) {
+    c.relays.push_back(d);
+    IndexedFingerprint& entry = fingerprints->emplace_back();
+    entry.identity_key = d.identity_key;
+    std::copy_n(fp.begin(), entry.fingerprint.size(), entry.fingerprint.begin());
+  }
+  c.fingerprints = std::move(fingerprints);
   c.authority_key = key_.public_key();
   c.signature = key_.sign(c.signed_body());
   return c;

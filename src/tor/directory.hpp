@@ -11,7 +11,9 @@
 // any measured path in the paper's evaluation.
 #pragma once
 
+#include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,11 +65,24 @@ struct RelayDescriptor {
   bool verify() const;
 };
 
+/// A relay's identity key with its fingerprint, as hashed when the
+/// consensus was made (see Consensus::fingerprints).
+struct IndexedFingerprint {
+  crypto::Gp identity_key = 0;
+  std::array<char, crypto::kFingerprintLen> fingerprint{};
+};
+using FingerprintIndex = std::vector<IndexedFingerprint>;
+
 struct Consensus {
   util::Time valid_after;
   std::vector<RelayDescriptor> relays;
   crypto::Gp authority_key = 0;
   crypto::Signature signature;
+  /// relays[i]'s key and fingerprint for each i, set by make_consensus and
+  /// shared by every copy, so that find() compares names instead of hashing
+  /// every relay per lookup. Not signed: find() uses entry i only while its
+  /// key is still relays[i].identity_key, and hashes the relay otherwise.
+  std::shared_ptr<const FingerprintIndex> fingerprints;
 
   util::Bytes signed_body() const;
   bool verify(crypto::Gp expected_authority) const;

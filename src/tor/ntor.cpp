@@ -10,17 +10,24 @@ namespace {
 constexpr std::string_view kKeyLabel = "bento-ntor-keys";
 constexpr std::string_view kVerifyLabel = "bento-ntor-verify";
 
-util::Bytes secret_input(util::ByteView ee, util::ByteView es, crypto::Gp identity) {
-  return util::concat({ee, es, crypto::gp_to_bytes(identity)});
-}
+struct HandshakeOutput {
+  LayerKeys keys;
+  crypto::Digest auth;
+};
 
-crypto::Digest make_auth(util::ByteView secret, crypto::Gp x_pub, crypto::Gp y_pub,
-                         crypto::Gp onion_pub, crypto::Gp identity) {
-  const util::Bytes verify_key = crypto::hkdf(secret, {}, kVerifyLabel, 32);
+// One HKDF extract per handshake: the hop keys and the verify key both
+// expand from PRK = HKDF-Extract({}, EXP(.,y) || EXP(.,b) || ID), which is
+// byte-identical to one extract-then-expand per label.
+HandshakeOutput derive(util::ByteView ee, util::ByteView es, crypto::Gp x_pub, crypto::Gp y_pub,
+                       crypto::Gp onion_pub, crypto::Gp identity) {
+  const util::Bytes secret = util::concat({ee, es, crypto::gp_to_bytes(identity)});
+  const crypto::HmacKey prk(crypto::hkdf_extract({}, secret));
+  crypto::Digest verify_key;
+  crypto::hkdf_expand(prk, util::as_byte_view(kVerifyLabel), verify_key);
   const util::Bytes transcript =
       util::concat({crypto::gp_to_bytes(x_pub), crypto::gp_to_bytes(y_pub),
                     crypto::gp_to_bytes(onion_pub), crypto::gp_to_bytes(identity)});
-  return crypto::hmac_sha256(verify_key, transcript);
+  return {LayerKeys::expand(prk, kKeyLabel), crypto::hmac_sha256(verify_key, transcript)};
 }
 }  // namespace
 
@@ -43,14 +50,13 @@ NtorServerReply ntor_server_respond(const crypto::DhKeyPair& onion_key,
 
   const util::Bytes ee = crypto::dh_shared(eph, x_pub);        // EXP(X,y)
   const util::Bytes es = crypto::dh_shared(onion_key, x_pub);  // EXP(X,b)
-  const util::Bytes secret = secret_input(ee, es, identity_pub);
+  const HandshakeOutput out =
+      derive(ee, es, x_pub, eph.public_value, onion_key.public_value, identity_pub);
 
   NtorServerReply reply;
-  reply.keys = LayerKeys::derive(secret, kKeyLabel);
-  const crypto::Digest auth =
-      make_auth(secret, x_pub, eph.public_value, onion_key.public_value, identity_pub);
+  reply.keys = out.keys;
   reply.created_payload = crypto::gp_to_bytes(eph.public_value);
-  util::append(reply.created_payload, auth);
+  util::append(reply.created_payload, out.auth);
   return reply;
 }
 
@@ -63,15 +69,13 @@ std::optional<LayerKeys> ntor_client_finish(const NtorClientState& state,
     if (y_pub <= 1 || y_pub >= crypto::group_prime()) return std::nullopt;
     const util::Bytes ee = crypto::dh_shared(state.ephemeral, y_pub);
     const util::Bytes es = crypto::dh_shared(state.ephemeral, state.relay_onion_pub);
-    const util::Bytes secret = secret_input(ee, es, state.relay_identity);
-    const crypto::Digest expect =
-        make_auth(secret, state.ephemeral.public_value, y_pub, state.relay_onion_pub,
-                  state.relay_identity);
+    const HandshakeOutput out = derive(ee, es, state.ephemeral.public_value, y_pub,
+                                       state.relay_onion_pub, state.relay_identity);
     if (!util::ct_equal(created_payload.subspan(crypto::kGpBytes),
-                        util::ByteView(expect.data(), expect.size()))) {
+                        util::ByteView(out.auth.data(), out.auth.size()))) {
       return std::nullopt;
     }
-    return LayerKeys::derive(secret, kKeyLabel);
+    return out.keys;
   } catch (const std::invalid_argument&) {
     return std::nullopt;
   }

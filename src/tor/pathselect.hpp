@@ -7,7 +7,6 @@
 // (hidden-service legs, Bento middlebox visits) any relay may terminate.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,8 +39,18 @@ class PathSelector {
   Path choose(const PathConstraints& constraints, util::Rng& rng) const;
 
   /// Samples a single relay with the given predicate, bandwidth-weighted.
-  const RelayDescriptor* pick_weighted(
-      const std::function<bool(const RelayDescriptor&)>& ok, util::Rng& rng) const;
+  template <typename Predicate>
+  const RelayDescriptor* pick_weighted(const Predicate& ok, util::Rng& rng) const {
+    std::vector<const RelayDescriptor*> eligible;
+    std::vector<double> weights;
+    for (const auto& rel : consensus_->relays) {
+      if (!ok(rel)) continue;
+      eligible.push_back(&rel);
+      weights.push_back(rel.bandwidth);
+    }
+    if (eligible.empty()) return nullptr;
+    return eligible[rng.weighted_index(weights)];
+  }
 
  private:
   const Consensus* consensus_;

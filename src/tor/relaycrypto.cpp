@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/hmac.hpp"
 #include "util/annotations.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -30,7 +29,12 @@ RecognitionMetrics& recognition_metrics() {
 }  // namespace
 
 LayerKeys LayerKeys::derive(util::ByteView secret, std::string_view label) {
-  const util::Bytes material = crypto::hkdf(secret, {}, label, 128);
+  return expand(crypto::HmacKey(crypto::hkdf_extract({}, secret)), label);
+}
+
+LayerKeys LayerKeys::expand(const crypto::HmacKey& prk, std::string_view label) {
+  std::array<std::uint8_t, 128> material;
+  crypto::hkdf_expand(prk, util::as_byte_view(label), material);
   LayerKeys k;
   std::memcpy(k.kf.data(), material.data(), 32);
   std::memcpy(k.kb.data(), material.data() + 32, 32);

@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "tor/cell.hpp"
 #include "util/bytes.hpp"
@@ -32,6 +33,9 @@ struct LayerKeys {
 
   /// HKDF(secret, info=label) -> 128 bytes split into kf|kb|df|db.
   static LayerKeys derive(util::ByteView secret, std::string_view label);
+  /// The same split of HKDF-Expand(prk, label), for a caller that expands
+  /// more than one key from a single extract.
+  static LayerKeys expand(const crypto::HmacKey& prk, std::string_view label);
 };
 
 /// Stateful per-hop crypto. The origin holds one per hop; the relay holds

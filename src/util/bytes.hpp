@@ -19,6 +19,11 @@ using ByteView = std::span<const std::uint8_t>;
 /// Builds a Bytes from a string's raw characters.
 Bytes to_bytes(std::string_view s);
 
+/// A string's raw characters as a byte view, without a copy.
+inline ByteView as_byte_view(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
 /// Interprets a byte buffer as text (no validation; callers own encoding).
 std::string to_string(ByteView b);
 

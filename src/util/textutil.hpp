@@ -1,14 +1,15 @@
-// Shared text helpers for the bentotrace tables: fixed-width columns and
-// fixed-point percent rendering. One copy, so summary and shards can never
-// disagree on formatting. JSON is not handled here: every artifact is read
-// and written through util/json by the src/obs module that owns its format.
+// Text helpers for the fixed-width tables that bentotrace and the src/obs
+// reports print: padded columns and fixed-point percents. One copy, so no
+// two tables can disagree on formatting. JSON is not handled here: every
+// artifact is read and written through util/json by the src/obs module
+// that owns its format.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 
-namespace bento::tools {
+namespace bento::util {
 
 /// Right-aligns `s` into a `width`-character column.
 inline void rcol(std::ostream& os, const std::string& s, std::size_t width) {
@@ -18,6 +19,12 @@ inline void rcol(std::ostream& os, const std::string& s, std::size_t width) {
 
 inline void rcol(std::ostream& os, std::int64_t v, std::size_t width) {
   rcol(os, std::to_string(v), width);
+}
+
+/// Left-aligns `s` into a `width`-character column.
+inline void lcol(std::ostream& os, const std::string& s, std::size_t width) {
+  os << s;
+  for (std::size_t pad = s.size(); pad < width; ++pad) os << ' ';
 }
 
 /// One-decimal fixed-point rendering (deterministic round-half-away).
@@ -32,4 +39,4 @@ inline double pct_of(std::uint64_t part, std::uint64_t whole) {
              : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
 }
 
-}  // namespace bento::tools
+}  // namespace bento::util

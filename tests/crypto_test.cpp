@@ -104,6 +104,37 @@ TEST(Hmac, LongKeyIsHashed) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(Hmac, Rfc4231Case4) {
+  bu::Bytes key(25);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i + 1);
+  EXPECT_EQ(hex_digest(bc::hmac_sha256(key, bu::Bytes(50, 0xcd))),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
+// Cases 6 and 7 use a 131-byte key, longer than the 64-byte block; one
+// keyed HmacKey also serves both messages, as the HKDF expand loop reuses it.
+TEST(Hmac, Rfc4231Case6) {
+  const bu::Bytes key(131, 0xaa);
+  const bu::Bytes msg = bu::to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
+  const char* expect = "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54";
+  EXPECT_EQ(hex_digest(bc::hmac_sha256(key, msg)), expect);
+  EXPECT_EQ(hex_digest(bc::HmacKey(key).mac(msg)), expect);
+}
+
+TEST(Hmac, Rfc4231Case7) {
+  const bu::Bytes key(131, 0xaa);
+  const bu::Bytes msg = bu::to_bytes(
+      "This is a test using a larger than block-size key and a larger than block-size "
+      "data. The key needs to be hashed before being used by the HMAC algorithm.");
+  const char* expect = "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2";
+  EXPECT_EQ(hex_digest(bc::hmac_sha256(key, msg)), expect);
+  const bc::HmacKey keyed(key);
+  EXPECT_EQ(hex_digest(keyed.mac(
+                bu::to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(hex_digest(keyed.mac(msg)), expect);
+}
+
 // ---- HKDF: RFC 5869 test case 1 ----
 
 TEST(Hkdf, Rfc5869Case1) {
@@ -117,6 +148,36 @@ TEST(Hkdf, Rfc5869Case1) {
   EXPECT_EQ(bu::to_hex(okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
+}
+
+TEST(Hkdf, Rfc5869Case2) {
+  bu::Bytes ikm(80), salt(80), info(80);
+  for (std::size_t i = 0; i < 80; ++i) {
+    ikm[i] = static_cast<std::uint8_t>(i);
+    salt[i] = static_cast<std::uint8_t>(0x60 + i);
+    info[i] = static_cast<std::uint8_t>(0xb0 + i);
+  }
+  const bc::Digest prk = bc::hkdf_extract(salt, ikm);
+  EXPECT_EQ(hex_digest(prk),
+            "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244");
+  EXPECT_EQ(bu::to_hex(bc::hkdf_expand(prk, info, 82)),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f1d87");
+}
+
+// Empty salt and empty info: the shape of every ntor and relay-layer
+// derivation.
+TEST(Hkdf, Rfc5869Case3) {
+  const bu::Bytes ikm(22, 0x0b);
+  const bc::Digest prk = bc::hkdf_extract({}, ikm);
+  EXPECT_EQ(hex_digest(prk),
+            "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04");
+  const char* okm =
+      "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+      "9d201395faa4b61a96c8";
+  EXPECT_EQ(bu::to_hex(bc::hkdf_expand(prk, {}, 42)), okm);
+  EXPECT_EQ(bu::to_hex(bc::hkdf(ikm, {}, "", 42)), okm);
 }
 
 TEST(Hkdf, DistinctLabelsGiveDistinctKeys) {
@@ -671,6 +732,19 @@ bc::Gp ref_modmul(bc::Gp a, bc::Gp b, bc::Gp mod) {
 bc::Gp random_gp(bu::Rng& rng) {
   return static_cast<bc::Gp>(rng.next_u64()) << 64 | rng.next_u64();
 }
+
+// Plain right-to-left square-and-multiply over ref_modmul: the reference
+// for both modpow paths (the fixed-base table for 3, the window otherwise).
+bc::Gp ref_modpow(bc::Gp base, bc::Gp exp, bc::Gp mod) {
+  bc::Gp result = 1 % mod;
+  base %= mod;
+  while (exp > 0) {
+    if (exp & 1) result = ref_modmul(result, base, mod);
+    base = ref_modmul(base, base, mod);
+    exp >>= 1;
+  }
+  return result;
+}
 }  // namespace
 
 TEST(Dh, ModmulFoldMatchesDoubleAndAddOnEdgeValues) {
@@ -703,6 +777,30 @@ TEST(Dh, ModmulFoldMatchesDoubleAndAddOnRandomPairs) {
       b %= p;
     }
     if (bc::modmul(a, b, p) != ref_modmul(a, b, p)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Dh, ModpowMatchesSquareAndMultiplyReference) {
+  const bc::Gp p = bc::group_prime();
+  const bc::Gp all_ones = ~static_cast<bc::Gp>(0);
+  bu::Rng rng(1601);
+  // Each list ends in a random value; 16 and 1 << 120 have zero nibbles.
+  const std::vector<bc::Gp> exps = {0,     1,     2,        15, 16, static_cast<bc::Gp>(1) << 120,
+                                    p - 2, p - 1, all_ones, random_gp(rng)};
+  const std::vector<bc::Gp> bases = {0, 1, 2, 3, p - 1, p, p + 3, random_gp(rng)};
+  for (bc::Gp e : exps) {
+    for (bc::Gp b : bases) {
+      EXPECT_TRUE(bc::modpow(b, e, p) == ref_modpow(b, e, p))
+          << bu::to_hex(bc::gp_to_bytes(b)) << " ^ " << bu::to_hex(bc::gp_to_bytes(e));
+    }
+  }
+  int mismatches = 0;
+  for (int i = 0; i < 200; ++i) {
+    const bc::Gp e = random_gp(rng) >> (i % 8);  // some exponents below 2^127
+    if (bc::modpow(3, e, p) != ref_modpow(3, e, p)) ++mismatches;
+    const bc::Gp b = random_gp(rng);
+    if (bc::modpow(b, e, p) != ref_modpow(b, e, p)) ++mismatches;
   }
   EXPECT_EQ(mismatches, 0);
 }

@@ -7,6 +7,7 @@
 // grammar / engine and the bentotrace-side ShardProfile parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -196,6 +197,16 @@ TEST(Slo, PercentileIsNearestRank) {
   EXPECT_EQ(bo::slo_percentile(v, 99), 100);
   EXPECT_EQ(bo::slo_percentile(v, 10), 10);
   EXPECT_EQ(bo::slo_percentile({}, 99), 0);
+}
+
+TEST(Slo, PercentileSortedMatchesSortingCopy) {
+  std::vector<std::int64_t> shuffled{70, 10, 100, 40, 90, 20, 60, 30, 80, 50, 50};
+  std::vector<std::int64_t> sorted = shuffled;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double pct : {0.0, 0.001, 10.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(bo::percentile_sorted(sorted, pct), bo::slo_percentile(shuffled, pct)) << pct;
+  }
+  EXPECT_EQ(bo::percentile_sorted({}, 50), 0);
 }
 
 TEST(Slo, PercentileEdgeCases) {

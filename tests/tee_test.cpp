@@ -232,6 +232,29 @@ TEST(SecureChannel, AttestedHandshakeAndTraffic) {
   EXPECT_EQ(bu::to_string(*at_client), "tokens");
 }
 
+// Pins the channel keys of one seeded handshake through the first sealed
+// record in each direction (ChaCha20-Poly1305 under the derived key, nonce
+// from sequence number 0): the HKDF code must leave both exactly as they are.
+TEST(SecureChannel, GoldenDerivedKeys) {
+  bu::Rng rng(1601);
+  bt::Platform platform(1, 2, rng);
+  bt::Enclave enclave(platform, bu::to_bytes("loader"), "loader");
+
+  bc::DhKeyPair client_eph;
+  auto hello = bt::SecureChannel::client_hello(client_eph, rng);
+  bt::SecureChannel::Accept accept;
+  auto server = bt::SecureChannel::server_accept(hello, enclave, rng, &accept);
+  auto client = bt::SecureChannel::client_finish(client_eph, accept, enclave.measurement());
+  ASSERT_TRUE(client.has_value());
+
+  EXPECT_EQ(bu::to_hex(hello.to_bytes()), "770ab58ed0cda4fb9134c96d015025c4");
+  EXPECT_EQ(bu::to_hex(bc::gp_to_bytes(accept.dh_public)), "12a638221b51cc17b9e7f514eb58e09c");
+  EXPECT_EQ(bu::to_hex(client->seal(bu::to_bytes("client to server"))),
+            "c9706b2a616fc7c5e66e3318426d504ef935e99b3889813367d6c202517b674f");
+  EXPECT_EQ(bu::to_hex(server.seal(bu::to_bytes("server to client"))),
+            "a771efd65896eec6578db6b7c0f1b199c1997bd8e0ff4c176eaab5d13a7d2a2f");
+}
+
 TEST(SecureChannel, WrongMeasurementRejected) {
   bu::Rng rng(31);
   bt::Platform platform(1, 2, rng);

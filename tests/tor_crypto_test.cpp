@@ -264,3 +264,31 @@ TEST(Ntor, WrongLengthReplyRejected) {
   bt::ntor_client_create(state, onion.public_value, identity.public_key(), rng);
   EXPECT_FALSE(bt::ntor_client_finish(state, bu::Bytes(10)).has_value());
 }
+
+// Pins one seeded handshake byte for byte: the onion skin X, the CREATED
+// payload Y || auth and all four layer keys on both sides. Any change to
+// the DH, HMAC or HKDF code must leave these exactly as they are.
+TEST(Ntor, GoldenHandshakeBytes) {
+  bu::Rng rng(1601);
+  const auto onion = bc::DhKeyPair::generate(rng);
+  const auto identity = bc::SigningKey::generate(rng);
+
+  bt::NtorClientState state;
+  const bu::Bytes skin =
+      bt::ntor_client_create(state, onion.public_value, identity.public_key(), rng);
+  const auto reply = bt::ntor_server_respond(onion, identity.public_key(), skin, rng);
+  const auto client = bt::ntor_client_finish(state, reply.created_payload);
+  ASSERT_TRUE(client.has_value());
+
+  EXPECT_EQ(bu::to_hex(skin), "28ee6f62083b9751083ef44e38f747d0");
+  EXPECT_EQ(bu::to_hex(reply.created_payload),
+            "1d88f18f867c31f4722f4ef75c8f4f2d"  // Y
+            "7c9b2a4755c8cd15c5234dcd8d36504c6ffe8e50398ade5b50849d8a17a1d3f7");
+  const auto hex = [](const auto& k) { return bu::to_hex(bu::ByteView(k.data(), k.size())); };
+  for (const bt::LayerKeys* k : {&reply.keys, &*client}) {
+    EXPECT_EQ(hex(k->kf), "a979a027eda1eb581bfcbb5bad3633c84db034bf6ec5af8780133eb3dd697d61");
+    EXPECT_EQ(hex(k->kb), "eaed7994131b03016197527570baa7bf994d884dd210a9e5c2b04177fe249393");
+    EXPECT_EQ(hex(k->df), "d1cd674c0e6caf485f20dd27427e2c097db03e1ee6a55e2ab745948d46a7844a");
+    EXPECT_EQ(hex(k->db), "9a7f1cf92e6332e7ddf89f620187894686831c892b5c770dd9178e8e2851b4ae");
+  }
+}

@@ -113,6 +113,29 @@ TEST(Directory, ReuploadReplacesDescriptor) {
   EXPECT_EQ(c.relays[0].bandwidth, 2e6);
 }
 
+// find() reads fingerprints hashed by make_consensus; a relay list edited
+// after that must still be searched by what each relay's key hashes to.
+TEST(Directory, FindFollowsEditedRelayList) {
+  bu::Rng rng(9);
+  bt::DirectoryAuthority dir(rng);
+  for (int i = 0; i < 4; ++i) {
+    dir.upload(make_relay(rng, "r" + std::to_string(i), static_cast<bt::Addr>(i + 1), 1e6,
+                          true, false)
+                   .desc);
+  }
+  auto c = dir.make_consensus(bu::Time::from_seconds(0));
+  for (const auto& rel : c.relays) EXPECT_EQ(c.find(rel.fingerprint()), &rel);
+  EXPECT_EQ(c.find("0000000000000000"), nullptr);
+
+  std::swap(c.relays[0], c.relays[3]);
+  c.relays.erase(c.relays.begin() + 1);
+  c.relays[1].identity_key = bc::SigningKey::generate(rng).public_key();
+  c.relays.push_back(make_relay(rng, "late", 9, 1e6, false, false).desc);
+  for (const auto& rel : c.relays) EXPECT_EQ(c.find(rel.fingerprint()), &rel);
+  const bt::Consensus copy = c;
+  EXPECT_EQ(copy.find(c.relays[0].fingerprint()), &copy.relays[0]);
+}
+
 TEST(Directory, HsDescriptorPublishFetch) {
   bu::Rng rng(8);
   bt::DirectoryAuthority dir(rng);

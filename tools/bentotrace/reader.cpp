@@ -4,11 +4,13 @@
 #include <array>
 #include <ostream>
 
-#include "bentotrace/textutil.hpp"
 #include "obs/slo.hpp"
 #include "util/json.hpp"
+#include "util/textutil.hpp"
 
 namespace bento::tools {
+
+using util::rcol;
 
 namespace {
 
@@ -172,8 +174,8 @@ void format_stage_summary(const TraceForest& forest, std::ostream& os) {
     rcol(os, static_cast<std::int64_t>(a.failed), 6);
     rcol(os, total, 10);
     rcol(os, mean, 11);
-    rcol(os, obs::slo_percentile(a.durations, 50), 11);
-    rcol(os, obs::slo_percentile(a.durations, 95), 11);
+    rcol(os, obs::percentile_sorted(a.durations, 50), 11);
+    rcol(os, obs::percentile_sorted(a.durations, 95), 11);
     rcol(os, a.durations.empty() ? 0 : a.durations.back(), 11);
     if (a.incomplete > 0) os << "  (" << a.incomplete << " incomplete)";
     os << "\n";
@@ -201,10 +203,10 @@ void format_ttfb_table(const TraceForest& forest, std::ostream& os) {
       os << "  " << key;
       for (std::size_t pad = key.size(); pad < 8; ++pad) os << ' ';
       rcol(os, static_cast<std::int64_t>(v.size()), 7);
-      rcol(os, obs::slo_percentile(v, 50), 8);
-      rcol(os, obs::slo_percentile(v, 95), 8);
-      rcol(os, obs::slo_percentile(v, 99), 8);
-      rcol(os, obs::slo_percentile(v, 99.9), 8);
+      rcol(os, obs::percentile_sorted(v, 50), 8);
+      rcol(os, obs::percentile_sorted(v, 95), 8);
+      rcol(os, obs::percentile_sorted(v, 99), 8);
+      rcol(os, obs::percentile_sorted(v, 99.9), 8);
       rcol(os, v.back(), 8);
       os << "\n";
     };

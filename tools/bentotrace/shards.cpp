@@ -4,10 +4,13 @@
 #include <ostream>
 
 #include "bentotrace/critpath.hpp"
-#include "bentotrace/textutil.hpp"
 #include "obs/critpath.hpp"
+#include "util/textutil.hpp"
 
 namespace bento::tools {
+
+using util::fixed1;
+using util::pct_of;
 
 namespace {
 
